@@ -25,3 +25,15 @@ pub mod sharded;
 
 pub use lockfree::{ConcurrentBf, ConcurrentShbfM};
 pub use sharded::{BatchScratch, ShardedCShbfM};
+
+/// Empties `v` and hands its allocation back as a vector of another
+/// element type of the same size and alignment — in practice the same
+/// borrowed type at another lifetime. A scratch struct that outlives the
+/// borrows keeps a `Vec<&'static T>`, lends it out as a `Vec<&'a T>` for
+/// one call (plain covariance), and takes it back through here. The
+/// collect reuses the allocation in place, so a round trip allocates
+/// nothing.
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| -> U { unreachable!() }).collect()
+}

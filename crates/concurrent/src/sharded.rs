@@ -20,15 +20,21 @@ use shbf_hash::{murmur3::murmur3_x64_128, range_reduce, FamilyKind};
 const SHARDED_CSHBF_M_KIND: u16 = 9;
 
 /// Reusable scratch for [`ShardedCShbfM::contains_batch_with`]: the
-/// shard-grouping index lists and the per-shard verdict buffer. One scratch
-/// per connection/worker turns steady-state batch queries into a
+/// shard-grouping index lists, the per-shard key list, the per-shard
+/// verdict buffer and the probe pipeline's stage buffer. One scratch per
+/// connection/worker turns steady-state batch queries into a
 /// zero-allocation path (the buffers grow to the high-water mark and stay).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Indexes of the batch's keys, grouped by shard.
     by_shard: Vec<Vec<usize>>,
+    /// Allocation of one shard's key list, kept empty between batches
+    /// (the list borrows the batch's keys; see [`crate::recycle`]).
+    shard_keys: Vec<&'static [u8]>,
     /// Verdicts for one shard's keys (scattered back into the output).
     verdicts: Vec<bool>,
+    /// Stage-1 probe positions of [`CShbfM::contains_batch_with`].
+    positions: Vec<usize>,
 }
 
 /// A sharded counting ShBF_M.
@@ -143,7 +149,7 @@ impl ShardedCShbfM {
 
     /// Batched membership query: keys are grouped by shard so each shard's
     /// read lock is taken **once per batch** instead of once per key, and
-    /// each shard's group runs through [`CShbfM::contains_batch_into`]'s
+    /// each shard's group runs through [`CShbfM::contains_batch_with`]'s
     /// prefetched two-stage pipeline. Under pipelined traffic the lock
     /// traffic drops from `O(keys)` to `O(shards touched)` and probe cache
     /// misses overlap instead of serializing.
@@ -167,34 +173,34 @@ impl ShardedCShbfM {
     ) {
         out.clear();
         out.resize(items.len(), false);
-        // Taken out of the scratch so the grouping helper (which borrows
-        // `by_shard`) and the per-shard pipeline can't alias.
-        let mut verdicts = std::mem::take(&mut scratch.verdicts);
+        let verdicts = &mut scratch.verdicts;
+        let positions = &mut scratch.positions;
         self.for_each_shard_group(
             items,
             &mut scratch.by_shard,
+            &mut scratch.shard_keys,
             |shards, shard, indexes, keys| {
                 shards[shard]
                     .read()
-                    .contains_batch_into(keys, &mut verdicts);
+                    .contains_batch_with(keys, verdicts, positions);
                 for (&i, &verdict) in indexes.iter().zip(verdicts.iter()) {
                     out[i] = verdict;
                 }
             },
         );
-        scratch.verdicts = verdicts;
     }
 
     /// The shared shard-grouping scaffolding of the batch paths: fills
-    /// `by_shard` with each key's index (buffers reused), then runs
-    /// `per_shard` once for every nonempty group with the group's key
-    /// slice rebuilt in a reused buffer. Query and insert batching both
+    /// `by_shard` with each key's index, then runs `per_shard` once for
+    /// every nonempty group with the group's keys gathered into the
+    /// recycled `shard_keys` allocation. Query and insert batching both
     /// route through here so shard selection can never diverge between
     /// them.
     fn for_each_shard_group<'a, T: AsRef<[u8]>>(
         &self,
         items: &'a [T],
         by_shard: &mut Vec<Vec<usize>>,
+        shard_keys: &mut Vec<&'static [u8]>,
         mut per_shard: impl FnMut(&[RwLock<CShbfM>], usize, &[usize], &[&'a [u8]]),
     ) {
         by_shard.resize(self.shards.len(), Vec::new());
@@ -204,17 +210,16 @@ impl ShardedCShbfM {
         for (i, item) in items.iter().enumerate() {
             by_shard[self.shard_of(item.as_ref())].push(i);
         }
-        // Per-shard key list, reused across shards (borrows `items`, so it
-        // cannot live in the scratch struct).
-        let mut shard_keys: Vec<&[u8]> = Vec::new();
+        let mut keys: Vec<&'a [u8]> = std::mem::take(shard_keys);
         for (shard, indexes) in by_shard.iter().enumerate() {
             if indexes.is_empty() {
                 continue;
             }
-            shard_keys.clear();
-            shard_keys.extend(indexes.iter().map(|&i| items[i].as_ref()));
-            per_shard(&self.shards, shard, indexes, &shard_keys);
+            keys.clear();
+            keys.extend(indexes.iter().map(|&i| items[i].as_ref()));
+            per_shard(&self.shards, shard, indexes, &keys);
         }
+        *shard_keys = crate::recycle(keys);
     }
 
     /// Batched insert: keys are grouped by shard so each shard's **write**
@@ -226,14 +231,16 @@ impl ShardedCShbfM {
         self.insert_batch_with(items, &mut BatchScratch::default());
     }
 
-    /// [`Self::insert_batch`] with caller-owned shard-grouping scratch, so
-    /// a connection handler serving a stream of bulk loads allocates
-    /// nothing in steady state (the `verdicts` half of the scratch is
-    /// untouched).
+    /// [`Self::insert_batch`] with caller-owned shard-grouping scratch (the
+    /// verdict and position buffers are untouched; each shard's insert
+    /// pipeline still allocates its own stage buffer).
     pub fn insert_batch_with<T: AsRef<[u8]>>(&self, items: &[T], scratch: &mut BatchScratch) {
-        self.for_each_shard_group(items, &mut scratch.by_shard, |shards, shard, _, keys| {
-            shards[shard].write().insert_batch(keys);
-        });
+        self.for_each_shard_group(
+            items,
+            &mut scratch.by_shard,
+            &mut scratch.shard_keys,
+            |shards, shard, _, keys| shards[shard].write().insert_batch(keys),
+        );
     }
 
     /// Serializes the filter: shard hash seed plus every shard's

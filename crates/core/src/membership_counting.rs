@@ -286,13 +286,26 @@ impl CShbfM {
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer
-    /// (cleared first), sparing the reply-buffer allocation per batch (the
-    /// pipeline's small fixed stage buffers are still allocated per call).
+    /// (cleared first), sparing the reply-buffer allocation per batch. The
+    /// pipeline's stage buffer is allocated per call; see
+    /// [`Self::contains_batch_with`] to reuse it.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
+        self.contains_batch_with(items, out, &mut Vec::new());
+    }
+
+    /// [`Self::contains_batch_into`] with a caller-owned stage buffer for
+    /// the probe positions (resized as needed), so a caller that keeps
+    /// both buffers allocates nothing per batch in steady state.
+    pub fn contains_batch_with<T: AsRef<[u8]>>(
+        &self,
+        items: &[T],
+        out: &mut Vec<bool>,
+        positions: &mut Vec<usize>,
+    ) {
         out.clear();
         out.reserve(items.len());
         let pairs = self.pairs();
-        let mut positions = vec![0usize; BATCH_CHUNK * pairs];
+        positions.resize(BATCH_CHUNK * pairs, 0);
         let mut offsets = [0usize; BATCH_CHUNK];
         for chunk in items.chunks(BATCH_CHUNK) {
             for (j, item) in chunk.iter().enumerate() {

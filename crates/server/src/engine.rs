@@ -10,7 +10,7 @@ use shbf_core::SetId;
 use shbf_reactor::TransportMetrics;
 use shbf_wal::FsyncPolicy;
 
-use crate::metrics::{summarize, CommandKind, EngineMetrics};
+use crate::metrics::{summarize, summarize_mquery, summarize_query, CommandKind, EngineMetrics};
 use crate::persistence::{self, Durability};
 use crate::protocol::{Command, FailPointSub, Response, SlowLogSub, TraceSub, WireSet};
 use crate::registry::{Backend, CreateParams, Namespace, Registry};
@@ -113,6 +113,16 @@ impl QueryScratch {
             self.verdicts = verdicts;
         }
     }
+}
+
+/// How a batch reached [`Engine::mquery_raw`], which decides the metrics
+/// series it is counted in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BatchOrigin {
+    /// An explicit `MQUERY` line.
+    MQuery,
+    /// A group of adjacent `QUERY` lines answered as one batch.
+    QueryGroup,
 }
 
 /// Commands that change registry state — the set a replica rejects and
@@ -372,24 +382,11 @@ impl Engine {
     /// scratch's recycled verdict buffer instead of allocating a reply
     /// vector per request. Transports keep one scratch per connection.
     pub fn dispatch_with(&self, cmd: &Command, scratch: &mut QueryScratch) -> (Response, Control) {
-        // Single-key hot-path kinds are clock-sampled; everything else
-        // is timed on every dispatch (see the metrics module docs). One
-        // `eval` call site keeps the untimed path free of duplicated
-        // inlining.
-        let started =
-            if self.metrics.enabled() && self.metrics.count_and_should_time(CommandKind::of(cmd)) {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-        let span = shbf_trace::span("engine");
-        span.attr("cmd", CommandKind::of(cmd).label());
-        let response = self.eval(cmd, scratch);
-        drop(span);
-        if let Some(at) = started {
-            self.metrics
-                .observe(CommandKind::of(cmd), at.elapsed(), || summarize(cmd));
-        }
+        let response = self.instrumented(
+            CommandKind::of(cmd),
+            || summarize(cmd),
+            || self.eval(cmd, scratch),
+        );
         let control = match cmd {
             Command::Quit => Control::CloseConnection,
             // Only a successfully evaluated SHUTDOWN stops the server.
@@ -397,6 +394,34 @@ impl Engine {
             _ => Control::Continue,
         };
         (response, control)
+    }
+
+    /// Runs one command's evaluation `eval` as a dispatch of `kind`:
+    /// counts it, times it (single-key hot-path kinds are clock-sampled,
+    /// everything else is timed every time; see the metrics module docs),
+    /// wraps it in an `engine` span, and slow-logs it under `summary`.
+    /// One `eval` call site keeps the untimed path free of duplicated
+    /// inlining.
+    #[inline]
+    fn instrumented(
+        &self,
+        kind: CommandKind,
+        summary: impl FnOnce() -> String,
+        eval: impl FnOnce() -> Response,
+    ) -> Response {
+        let started = if self.metrics.enabled() && self.metrics.count_and_should_time(kind) {
+            Some(std::time::Instant::now())
+        } else {
+            None
+        };
+        let span = shbf_trace::span("engine");
+        span.attr("cmd", kind.label());
+        let response = eval();
+        drop(span);
+        if let Some(at) = started {
+            self.metrics.observe(kind, at.elapsed(), summary);
+        }
+        response
     }
 
     /// Outer evaluation: replication verbs, the read-only-replica gate,
@@ -960,34 +985,50 @@ impl Engine {
         )
     }
 
-    /// Batched membership query without a [`Command`] envelope — the
-    /// evented transport's ride for groups of adjacent pipelined `QUERY`
-    /// lines. Returns exactly what `MQUERY ns keys...` would (including
-    /// the error shape), so per-key replies can be re-encoded as the
-    /// individual `QUERY` answers.
-    pub(crate) fn mquery_raw(
+    /// Batched membership query over borrowed keys, without a [`Command`]
+    /// envelope — the evented transport's entry for `MQUERY` lines and
+    /// for groups of adjacent pipelined `QUERY` lines. Returns exactly
+    /// what `MQUERY ns keys...` would (including the error shape), so a
+    /// group's verdicts can be re-encoded as the individual `QUERY`
+    /// answers. `origin` picks the metrics series: an `MQUERY` is counted,
+    /// timed, slow-logged and traced as [`Self::dispatch_with`] would; a
+    /// group counts one `query` per line, as the lines would one by one.
+    pub(crate) fn mquery_raw<K: AsRef<[u8]>>(
         &self,
         ns: &str,
-        keys: &[Vec<u8>],
+        keys: &[K],
         scratch: &mut QueryScratch,
+        origin: BatchOrigin,
     ) -> Response {
-        let span = shbf_trace::span("batch_probe");
-        span.attr("keys", keys.len());
-        if !self.metrics.enabled() {
-            return self.with_ns(ns, |n| mquery(n, keys, scratch));
+        match origin {
+            BatchOrigin::MQuery => self.instrumented(
+                CommandKind::MQuery,
+                || summarize_mquery(ns, keys.len()),
+                || self.with_ns(ns, |n| mquery(n, keys, scratch)),
+            ),
+            BatchOrigin::QueryGroup => {
+                let span = shbf_trace::span("batch_probe");
+                span.attr("keys", keys.len());
+                // The lines' sampled clock reads fall inside the group;
+                // each records the group's per-key time.
+                let timed = if self.metrics.enabled() {
+                    self.metrics
+                        .count_run_and_timed(CommandKind::Query, keys.len() as u64)
+                } else {
+                    0
+                };
+                let started = (timed > 0).then(std::time::Instant::now);
+                let response = self.with_ns(ns, |n| mquery(n, keys, scratch));
+                if let Some(at) = started {
+                    let per_key = at.elapsed() / keys.len() as u32;
+                    for _ in 0..timed {
+                        self.metrics
+                            .observe(CommandKind::Query, per_key, || summarize_query(ns));
+                    }
+                }
+                response
+            }
         }
-        // The evented transport's coalesced QUERY groups ride the MQUERY
-        // pipeline; count and time them under the same series an explicit
-        // MQUERY of the batch would land in (batches amortize the clock,
-        // so no sampling here).
-        self.metrics.count(CommandKind::MQuery);
-        let started = std::time::Instant::now();
-        let response = self.with_ns(ns, |n| mquery(n, keys, scratch));
-        self.metrics
-            .observe(CommandKind::MQuery, started.elapsed(), || {
-                format!("MQUERY {ns} ({} keys)", keys.len())
-            });
-        response
     }
 
     /// Convenience for tests/benches: dispatch an already-parsed command
@@ -1103,7 +1144,7 @@ fn query(n: &Namespace, key: &[u8]) -> Response {
     Response::bool(hit)
 }
 
-fn mquery(n: &Namespace, keys: &[Vec<u8>], scratch: &mut QueryScratch) -> Response {
+fn mquery<K: AsRef<[u8]>>(n: &Namespace, keys: &[K], scratch: &mut QueryScratch) -> Response {
     // All three backends run their prefetched two-stage batch pipeline into
     // the recycled verdict buffer; one lock acquisition per touched shard
     // (membership) or per batch (multiplicity/association).
@@ -1114,7 +1155,7 @@ fn mquery(n: &Namespace, keys: &[Vec<u8>], scratch: &mut QueryScratch) -> Respon
             let guard = f.read();
             guard.contains_batch_into(keys, &mut answers);
             for (key, &hit) in keys.iter().zip(&answers) {
-                if let Some(truth) = guard.ground_truth(key) {
+                if let Some(truth) = guard.ground_truth(key.as_ref()) {
                     n.stats.record_ground_truth(hit, truth > 0);
                 }
             }

@@ -15,6 +15,21 @@
 //! Line framing itself is [`scan_line`], shared with the proptest suite
 //! that replays arbitrary chunkings against single-shot parsing.
 //!
+//! **The read path is zero-copy.** `QUERY` and `MQUERY` lines go through
+//! the borrowed front-end [`parse_request`]: the namespace and every
+//! plain key stay slices of the drained input, and a pending `QUERY`
+//! group is a list of those slices. At flush, [`resolve_keys`] hands the
+//! engine one slice per key; `0x…` keys are decoded into one reused
+//! per-connection buffer. The invariant that makes this sound: **a
+//! pending group never outlives `on_data`.** It is answered at the next
+//! boundary line and, at the latest, before `on_data` returns and the
+//! reactor discards the consumed input. The group is a local that
+//! borrows `input`, so the compiler enforces it. Its buffers are kept
+//! between calls only as empty allocations. In steady state a plain-key
+//! `QUERY` or `MQUERY` allocates nothing between the read and the reply.
+//! Every other verb is parsed by the same grammar into an owned
+//! [`Command`](crate::Command).
+//!
 //! **Response streams are byte-identical to the threaded transport** for
 //! any request stream, however it is segmented: grouped `QUERY` verdicts
 //! are re-encoded as the individual `:1`/`:0` lines (batch == scalar
@@ -22,6 +37,8 @@
 //! replicated per grouped query, and per-namespace hit/miss counters
 //! advance exactly as the scalar path would
 //! (`tests/protocol_segmentation.rs` asserts all of this byte-for-byte).
+//! The command series match too: a group counts one `query` per line,
+//! as the threaded transport does, never an `mquery`.
 //!
 //! Several reactor loops (one thread each) can share the listener; each
 //! owns its accepted connections outright, so no cross-thread connection
@@ -33,8 +50,8 @@ use std::sync::Arc;
 
 use shbf_reactor::{Action, Drained, Handler, Listener, ReactorConfig, Waker};
 
-use crate::engine::{Control, Engine, QueryScratch};
-use crate::protocol::{parse_command, scan_line, Command, Response, Scan};
+use crate::engine::{BatchOrigin, Control, Engine, QueryScratch};
+use crate::protocol::{parse_request, resolve_keys, scan_line, Key, Request, Response, Scan};
 use crate::server::{ServerConfig, MAX_REQUEST_LINE};
 
 /// Runs the configured number of reactor loops over `listener` until
@@ -103,18 +120,29 @@ pub(crate) fn run(
     result
 }
 
-/// Per-connection protocol state: the recycled batch-query scratch plus
-/// the in-flight group of adjacent `QUERY` lines.
+/// Per-connection protocol state: the recycled batch-query scratch and
+/// the buffers the zero-copy read path lends out for each drained input.
 #[derive(Default)]
 struct ConnState {
     scratch: QueryScratch,
-    /// Namespace of the pending query group (meaningful when
-    /// `pending_keys` is nonempty).
-    pending_ns: String,
-    /// Keys of adjacent pipelined `QUERY` lines not yet answered; flushed
-    /// as one batch at the next non-QUERY line, namespace switch, or end
-    /// of the drained input. The buffer is recycled across flushes.
-    pending_keys: Vec<Vec<u8>>,
+    /// Decoded bytes of the `0x…` keys of the batch being answered.
+    hex: Vec<u8>,
+    /// Allocation of the pending [`Group`]'s key list, kept empty between
+    /// calls (the list borrows each call's input; see
+    /// [`shbf_concurrent::recycle`]).
+    group_keys: Vec<Key<'static>>,
+    /// Allocation of the resolved key slices handed to the engine, kept
+    /// empty the same way.
+    slices: Vec<&'static [u8]>,
+}
+
+/// A run of adjacent pipelined `QUERY` lines on one namespace, answered
+/// as one batch at the next non-QUERY line, namespace switch, or end of
+/// the drained input. It borrows the input buffer, so it is answered
+/// before `on_data` returns and no key is ever copied out of the buffer.
+struct Group<'a> {
+    ns: &'a str,
+    keys: Vec<Key<'a>>,
 }
 
 /// The protocol driver handed to the reactor.
@@ -132,11 +160,28 @@ impl EventedHandler {
     }
 }
 
+/// Answers a batch of keys through the engine's batch entry: plain keys
+/// are handed over as slices of the input, `0x…` keys as slices of the
+/// connection's decode buffer.
+fn answer_batch<'a>(
+    engine: &Engine,
+    state: &mut ConnState,
+    ns: &str,
+    keys: impl Iterator<Item = Key<'a>> + Clone,
+    origin: BatchOrigin,
+) -> Response {
+    let mut slices: Vec<&[u8]> = std::mem::take(&mut state.slices);
+    resolve_keys(keys, &mut state.hex, &mut slices);
+    let response = engine.mquery_raw(ns, &slices, &mut state.scratch, origin);
+    state.slices = shbf_concurrent::recycle(slices);
+    response
+}
+
 /// Answers the pending query group: one engine batch ride, re-encoded as
 /// the individual `QUERY` replies (`:1`/`:0` lines, or the identical
 /// per-query error). No-op when the group is empty.
-fn flush_pending(engine: &Engine, state: &mut ConnState, out: &mut Vec<u8>) {
-    if state.pending_keys.is_empty() {
+fn flush_group(engine: &Engine, state: &mut ConnState, group: &mut Group<'_>, out: &mut Vec<u8>) {
+    if group.keys.is_empty() {
         return;
     }
     // The coalesced group is one logical request; when a boundary command
@@ -145,11 +190,11 @@ fn flush_pending(engine: &Engine, state: &mut ConnState, out: &mut Vec<u8>) {
     let trace = shbf_trace::start(engine.trace(), "request");
     if trace.is_armed() {
         trace.attr("transport", "evented");
-        trace.attr("batch", state.pending_keys.len());
+        trace.attr("batch", group.keys.len());
     }
-    let keys = std::mem::take(&mut state.pending_keys);
     let dispatch_span = shbf_trace::span("dispatch");
-    let response = engine.mquery_raw(&state.pending_ns, &keys, &mut state.scratch);
+    let keys = group.keys.iter().copied();
+    let response = answer_batch(engine, state, group.ns, keys, BatchOrigin::QueryGroup);
     drop(dispatch_span);
     let encode_span = shbf_trace::span("encode");
     match &response {
@@ -161,16 +206,14 @@ fn flush_pending(engine: &Engine, state: &mut ConnState, out: &mut Vec<u8>) {
         // Unknown namespace and friends: each scalar QUERY would have
         // produced this very error, once per line.
         other => {
-            for _ in &keys {
+            for _ in &group.keys {
                 other.encode(out);
             }
         }
     }
     drop(encode_span);
     state.scratch.reclaim(response);
-    // Hand the (now empty) key buffer back for the next group.
-    state.pending_keys = keys;
-    state.pending_keys.clear();
+    group.keys.clear();
 }
 
 fn oversized_error(out: &mut Vec<u8>) {
@@ -184,6 +227,10 @@ impl Handler for EventedHandler {
     fn on_data(&mut self, token: u64, input: &[u8], eof: bool, out: &mut Vec<u8>) -> Drained {
         let engine = &self.engine;
         let state = self.conns.entry(token).or_default();
+        let mut group = Group {
+            ns: "",
+            keys: std::mem::take(&mut state.group_keys),
+        };
         let mut consumed = 0;
         let action = loop {
             let rest = &input[consumed..];
@@ -196,7 +243,7 @@ impl Handler for EventedHandler {
                 // enforced the request-line cap on the buffered prefix).
                 Scan::Incomplete => break Action::Continue,
                 Scan::Oversize => {
-                    flush_pending(engine, state, out);
+                    flush_group(engine, state, &mut group, out);
                     oversized_error(out);
                     break Action::Close;
                 }
@@ -205,7 +252,7 @@ impl Handler for EventedHandler {
             let text = match std::str::from_utf8(line) {
                 Ok(text) => text,
                 Err(_) => {
-                    flush_pending(engine, state, out);
+                    flush_group(engine, state, &mut group, out);
                     Response::Error("protocol: request is not valid UTF-8".into()).encode(out);
                     break Action::Close;
                 }
@@ -216,55 +263,65 @@ impl Handler for EventedHandler {
             }
             let mut trace = shbf_trace::start(engine.trace(), "request");
             let parse_span = shbf_trace::span("parse");
-            let parsed = parse_command(trimmed);
+            let parsed = parse_request(trimmed);
             drop(parse_span);
-            match parsed {
+            let request = match parsed {
                 Err(e) => {
-                    flush_pending(engine, state, out);
+                    flush_group(engine, state, &mut group, out);
                     let encode_span = shbf_trace::span("encode");
                     Response::Error(e.to_string()).encode(out);
                     drop(encode_span);
+                    continue;
                 }
                 // Adjacent QUERYs on one namespace coalesce into a batch;
                 // the group is traced as one request at flush time.
-                Ok(Command::Query { ns, key }) => {
+                Ok(Request::Query { ns, key }) => {
                     trace.cancel();
-                    if state.pending_keys.is_empty() {
-                        state.pending_ns = ns;
-                    } else if state.pending_ns != ns {
-                        flush_pending(engine, state, out);
-                        state.pending_ns = ns;
+                    if group.ns != ns {
+                        flush_group(engine, state, &mut group, out);
+                        group.ns = ns;
                     }
-                    state.pending_keys.push(key);
+                    group.keys.push(key);
+                    continue;
                 }
-                // Everything else is a batch boundary: answer the group
-                // first so replies stay in request order.
-                Ok(cmd) => {
-                    // Admin/batch verbs are always traced while sampling
-                    // is on (same rule as the threaded transport).
-                    if !trace.is_armed() && !crate::metrics::CommandKind::of(&cmd).sampled() {
-                        trace = shbf_trace::start_forced(engine.trace(), "request");
-                    }
-                    if trace.is_armed() {
-                        trace.attr("transport", "evented");
-                    }
-                    flush_pending(engine, state, out);
-                    let dispatch_span = shbf_trace::span("dispatch");
-                    let (response, control) = engine.dispatch_with(&cmd, &mut state.scratch);
-                    drop(dispatch_span);
-                    let encode_span = shbf_trace::span("encode");
-                    response.encode(out);
-                    drop(encode_span);
-                    state.scratch.reclaim(response);
-                    match control {
-                        Control::Continue => {}
-                        Control::CloseConnection => break Action::Close,
-                        Control::ShutdownServer => break Action::Shutdown,
-                    }
-                }
+                Ok(request) => request,
+            };
+            // Everything else is a batch boundary: answer the group first
+            // so replies stay in request order. Admin/batch verbs are
+            // always traced while sampling is on (same rule as the
+            // threaded transport).
+            let sampled = match &request {
+                Request::Command(cmd) => crate::metrics::CommandKind::of(cmd).sampled(),
+                _ => false,
+            };
+            if !trace.is_armed() && !sampled {
+                trace = shbf_trace::start_forced(engine.trace(), "request");
+            }
+            if trace.is_armed() {
+                trace.attr("transport", "evented");
+            }
+            flush_group(engine, state, &mut group, out);
+            let dispatch_span = shbf_trace::span("dispatch");
+            let (response, control) = match request {
+                Request::MQuery { ns, keys } => (
+                    answer_batch(engine, state, ns, keys, BatchOrigin::MQuery),
+                    Control::Continue,
+                ),
+                request => engine.dispatch_with(&request.into_command(), &mut state.scratch),
+            };
+            drop(dispatch_span);
+            let encode_span = shbf_trace::span("encode");
+            response.encode(out);
+            drop(encode_span);
+            state.scratch.reclaim(response);
+            match control {
+                Control::Continue => {}
+                Control::CloseConnection => break Action::Close,
+                Control::ShutdownServer => break Action::Shutdown,
             }
         };
-        flush_pending(engine, state, out);
+        flush_group(engine, state, &mut group, out);
+        state.group_keys = shbf_concurrent::recycle(group.keys);
         Drained { consumed, action }
     }
 

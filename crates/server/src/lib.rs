@@ -190,8 +190,8 @@ pub use engine::{
 };
 pub use metrics::{CommandKind, EngineMetrics, SlowLogEntry};
 pub use protocol::{
-    parse_command, scan_line, Command, FailPointSub, FamilySpec, KindSpec, Response, Scan,
-    SlowLogSub, TraceSub,
+    parse_command, parse_request, resolve_keys, scan_line, Command, FailPointSub, FamilySpec, Key,
+    Keys, KindSpec, Request, Response, Scan, SlowLogSub, TraceSub,
 };
 pub use registry::{Namespace, Registry, RegistryError};
 pub use server::{Endpoint, Server, ServerConfig, ServerHandle, TransportKind};

@@ -194,8 +194,8 @@ pub fn summarize(cmd: &Command) -> String {
         }
         Command::Insert { ns, .. } => format!("INSERT {ns} (1 key)"),
         Command::Delete { ns, .. } => format!("DELETE {ns} (1 key)"),
-        Command::Query { ns, .. } => format!("QUERY {ns} (1 key)"),
-        Command::MQuery { ns, keys } => format!("MQUERY {ns} ({} keys)", keys.len()),
+        Command::Query { ns, .. } => summarize_query(ns),
+        Command::MQuery { ns, keys } => summarize_mquery(ns, keys.len()),
         Command::MInsert { ns, keys } => format!("MINSERT {ns} ({} keys)", keys.len()),
         Command::Count { ns, .. } => format!("COUNT {ns} (1 key)"),
         Command::Assoc { ns, .. } => format!("ASSOC {ns} (1 key)"),
@@ -221,6 +221,17 @@ pub fn summarize(cmd: &Command) -> String {
         Command::Shutdown => "SHUTDOWN".into(),
         Command::Quit => "QUIT".into(),
     }
+}
+
+/// [`summarize`] of `QUERY ns key`, for a query the engine answers
+/// without a [`Command`].
+pub fn summarize_query(ns: &str) -> String {
+    format!("QUERY {ns} (1 key)")
+}
+
+/// [`summarize`] of an `MQUERY` of `keys` keys in `ns`.
+pub fn summarize_mquery(ns: &str, keys: usize) -> String {
+    format!("MQUERY {ns} ({keys} keys)")
 }
 
 /// One slow-query log entry (`SLOWLOG GET` reply line:
@@ -347,26 +358,43 @@ impl EngineMetrics {
     /// Counts one dispatched command and says whether this dispatch
     /// should take the wall clock: always for batched/administrative
     /// kinds, one in [`SAMPLE_PERIOD`] for single-key kinds.
+    #[inline]
+    pub fn count_and_should_time(&self, kind: CommandKind) -> bool {
+        self.count_run_and_timed(kind, 1) > 0
+    }
+
+    /// Counts a run of `n` dispatches of one kind and returns how many of
+    /// them take the wall clock — exactly as many as `n` calls of
+    /// [`Self::count_and_should_time`] would report, so a batch of
+    /// coalesced single-key commands lands in the same series as the
+    /// commands sent one by one.
     ///
     /// Single-key kinds run in ~140 ns, so even one relaxed `fetch_add`
     /// (a locked RMW, ~10 ns on commodity x86) costs several percent of
-    /// the dispatch path. Their counter therefore uses a plain relaxed
-    /// load + store pair instead: monotone and exact for a single
-    /// dispatching thread, with a one-instruction undercount window when
-    /// two threads dispatch the *same* kind simultaneously. Batched and
-    /// administrative kinds are rare and heavy, so they keep the exact
+    /// the dispatch path. A single one of them therefore counts with a
+    /// plain relaxed load + store pair instead: monotone and exact for a
+    /// single dispatching thread, with a one-instruction undercount window
+    /// when two threads dispatch the *same* kind simultaneously. A run
+    /// (`n > 1`) shares one RMW among its commands, and batched and
+    /// administrative kinds are rare and heavy, so those keep the exact
     /// RMW.
     #[inline]
-    pub fn count_and_should_time(&self, kind: CommandKind) -> bool {
+    pub fn count_run_and_timed(&self, kind: CommandKind, n: u64) -> u64 {
         let slot = &self.dispatched[kind.index()];
-        if kind.sampled() {
+        if !kind.sampled() {
+            slot.fetch_add(n, Ordering::Relaxed);
+            return n;
+        }
+        if n == 1 {
             let tick = slot.load(Ordering::Relaxed);
             slot.store(tick.wrapping_add(1), Ordering::Relaxed);
-            tick.is_multiple_of(SAMPLE_PERIOD)
-        } else {
-            slot.fetch_add(1, Ordering::Relaxed);
-            true
+            return u64::from(tick.is_multiple_of(SAMPLE_PERIOD));
         }
+        let tick = slot.fetch_add(n, Ordering::Relaxed);
+        // Multiples of the period among the run's ticks `tick..tick + n`.
+        tick.wrapping_add(n)
+            .div_ceil(SAMPLE_PERIOD)
+            .wrapping_sub(tick.div_ceil(SAMPLE_PERIOD))
     }
 
     /// Records one completed command: histogram observation plus a
@@ -576,6 +604,41 @@ mod tests {
         assert_eq!(m.command_count(CommandKind::Query), SAMPLE_PERIOD * 3);
         assert!(CommandKind::Query.sampled());
         assert!(!CommandKind::MInsert.sampled());
+    }
+
+    #[test]
+    fn counted_runs_time_as_their_single_dispatches_would() {
+        let (runs, singles) = (EngineMetrics::new(), EngineMetrics::new());
+        for n in [1u64, 3, 64, 0, 63, 2, 130, 1, 64, 7] {
+            let timed = (0..n)
+                .filter(|_| singles.count_and_should_time(CommandKind::Query))
+                .count() as u64;
+            assert_eq!(runs.count_run_and_timed(CommandKind::Query, n), timed);
+            assert_eq!(runs.count_run_and_timed(CommandKind::MQuery, n), n);
+        }
+        assert_eq!(
+            runs.command_count(CommandKind::Query),
+            singles.command_count(CommandKind::Query)
+        );
+    }
+
+    #[test]
+    fn racing_runs_are_counted_exactly() {
+        let m = EngineMetrics::new();
+        let timed = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..20_000)
+                            .map(|_| m.count_run_and_timed(CommandKind::Query, 3))
+                            .sum::<u64>()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
+        });
+        assert_eq!(m.command_count(CommandKind::Query), 120_000);
+        assert_eq!(timed, 120_000u64.div_ceil(SAMPLE_PERIOD));
     }
 
     #[test]

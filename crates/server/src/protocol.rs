@@ -6,6 +6,20 @@
 //! tokens; a token of the form `0x<hex>` denotes raw bytes, anything else
 //! is taken as its UTF-8 bytes. See the crate docs for the full grammar.
 //!
+//! The grammar lives in one function, behind both [`parse_request`] and
+//! [`parse_command`]. It splits the line in one pass without collecting
+//! the tokens and upper-cases the verb on the stack. The read verbs
+//! `QUERY` and `MQUERY` come back as a borrowed [`Request`]: the
+//! namespace is a slice of the line and each key a validated [`Key`], so
+//! parsing them allocates nothing. The evented
+//! transport answers them from the borrowed form; [`resolve_keys`] turns
+//! the keys into byte slices, decoding `0x…` keys into a caller-owned
+//! buffer. [`parse_command`], for the callers that keep commands (the
+//! threaded transport, WAL replay, replication and tests), is
+//! [`parse_request`] followed by [`Request::into_command`], so grammar and
+//! error text cannot drift between the two. An owned `QUERY` costs
+//! exactly two allocations, the namespace and the key.
+//!
 //! Replies use RESP framing so any Redis-style client can parse them:
 //!
 //! * `+<text>\r\n` — simple string (`+OK`, `+PONG`, `+INTERSECTION`, …)
@@ -14,6 +28,7 @@
 //! * `*<n>\r\n` followed by `n` nested replies — arrays (`MQUERY`, `STATS`)
 
 use std::fmt;
+use std::str::SplitAsciiWhitespace;
 
 /// Which of the two sets an association update targets (wire form `1`/`2`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,22 +409,195 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
+/// A key token the parser has validated, borrowed from the request line:
+/// a `0x<hex>` token denotes the bytes its digits spell, any other token
+/// its UTF-8 bytes. Only [`Key::parse`] builds one, so a key's hex digits
+/// are always valid:
+///
+/// ```
+/// use shbf_server::Key;
+/// assert!(Key::parse("0x+a").is_err());
+/// assert_eq!(Key::parse("0x0A").unwrap().to_vec(), [0x0a]);
+/// ```
+///
+/// The representation is private, so a key cannot be built around it:
+///
+/// ```compile_fail
+/// let key = shbf_server::Key(Default::default());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Key<'a>(KeyRepr<'a>);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyRepr<'a> {
+    /// Any token not starting with `0x`, taken as its UTF-8 bytes.
+    Plain(&'a [u8]),
+    /// The digits of a `0x<hex>` token: nonzero, even length, ASCII hex.
+    Hex(&'a str),
+}
+
+impl<'a> Key<'a> {
+    /// Validates a key token: `0x<hex>` → raw bytes, otherwise UTF-8 bytes.
+    pub fn parse(token: &'a str) -> Result<Key<'a>, ParseError> {
+        match token.strip_prefix("0x") {
+            None => Ok(Key(KeyRepr::Plain(token.as_bytes()))),
+            Some(hex) if hex.is_empty() || hex.len() % 2 != 0 => {
+                Err(err("hex key must have even, nonzero length"))
+            }
+            Some(hex) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => Ok(Key(KeyRepr::Hex(hex))),
+            Some(_) => Err(err(format!("invalid hex key `{token}`"))),
+        }
+    }
+
+    /// Classifies a token [`Key::parse`] has already accepted.
+    fn validated(token: &'a str) -> Key<'a> {
+        Key(token
+            .strip_prefix("0x")
+            .map_or(KeyRepr::Plain(token.as_bytes()), KeyRepr::Hex))
+    }
+
+    /// Whether the key was written as `0x<hex>`.
+    fn is_hex(self) -> bool {
+        matches!(self.0, KeyRepr::Hex(_))
+    }
+
+    /// Length of the key in bytes.
+    fn len(self) -> usize {
+        match self.0 {
+            KeyRepr::Plain(bytes) => bytes.len(),
+            KeyRepr::Hex(digits) => digits.len() / 2,
+        }
+    }
+
+    /// Appends the key's bytes to `out`.
+    fn decode_into(self, out: &mut Vec<u8>) {
+        fn nibble(b: u8) -> u8 {
+            match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => b - b'A' + 10,
+            }
+        }
+        match self.0 {
+            KeyRepr::Plain(bytes) => out.extend_from_slice(bytes),
+            KeyRepr::Hex(digits) => out.extend(
+                digits
+                    .as_bytes()
+                    .chunks_exact(2)
+                    .map(|pair| (nibble(pair[0]) << 4) | nibble(pair[1])),
+            ),
+        }
+    }
+
+    /// The key's bytes, owned.
+    pub fn to_vec(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        self.decode_into(&mut out);
+        out
+    }
+}
+
+/// The validated keys of a multi-key request, borrowed from the request
+/// line and yielded in order.
+#[derive(Debug, Clone)]
+pub struct Keys<'a> {
+    tokens: SplitAsciiWhitespace<'a>,
+    len: usize,
+}
+
+impl<'a> Iterator for Keys<'a> {
+    type Item = Key<'a>;
+
+    fn next(&mut self) -> Option<Key<'a>> {
+        let token = self.tokens.next()?;
+        self.len -= 1;
+        Some(Key::validated(token))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for Keys<'_> {}
+
+/// Resolves validated keys to byte slices without allocating per key:
+/// plain keys borrow the request line, and `0x…` keys are decoded into
+/// `hex` (cleared first) and borrow from it. `out` is cleared first and
+/// receives one slice per key, in order. The keys are walked once, and a
+/// second time only when some are `0x…` keys.
+pub fn resolve_keys<'k, 'a: 'k, I>(keys: I, hex: &'k mut Vec<u8>, out: &mut Vec<&'k [u8]>)
+where
+    I: Iterator<Item = Key<'a>> + Clone,
+{
+    hex.clear();
+    out.clear();
+    for key in keys.clone() {
+        match key.0 {
+            KeyRepr::Plain(bytes) => out.push(bytes),
+            // A placeholder until `hex` stops growing.
+            KeyRepr::Hex(_) => {
+                key.decode_into(hex);
+                out.push(&[]);
+            }
+        }
+    }
+    if hex.is_empty() {
+        return;
+    }
+    let mut decoded: &'k [u8] = hex;
+    for (slot, key) in out.iter_mut().zip(keys) {
+        if key.is_hex() {
+            let (head, tail) = decoded.split_at(key.len());
+            *slot = head;
+            decoded = tail;
+        }
+    }
+}
+
+/// A parsed request line. `QUERY` and `MQUERY`, the read path, borrow their
+/// namespace and keys from the line; every other verb is parsed into its
+/// owned [`Command`].
+#[derive(Debug, Clone)]
+pub enum Request<'a> {
+    /// `QUERY ns key`.
+    Query {
+        /// Namespace name.
+        ns: &'a str,
+        /// Element key.
+        key: Key<'a>,
+    },
+    /// `MQUERY ns key...`.
+    MQuery {
+        /// Namespace name.
+        ns: &'a str,
+        /// Element keys, answered in order.
+        keys: Keys<'a>,
+    },
+    /// Any other verb.
+    Command(Command),
+}
+
+impl Request<'_> {
+    /// The owned [`Command`] this request denotes.
+    pub fn into_command(self) -> Command {
+        match self {
+            Request::Query { ns, key } => Command::Query {
+                ns: ns.to_owned(),
+                key: key.to_vec(),
+            },
+            Request::MQuery { ns, keys } => Command::MQuery {
+                ns: ns.to_owned(),
+                keys: keys.map(Key::to_vec).collect(),
+            },
+            Request::Command(cmd) => cmd,
+        }
+    }
+}
+
 /// Decodes a key token: `0x<hex>` → raw bytes, otherwise UTF-8 bytes.
 pub fn decode_key(token: &str) -> Result<Vec<u8>, ParseError> {
-    if let Some(hex) = token.strip_prefix("0x") {
-        if hex.is_empty() || hex.len() % 2 != 0 {
-            return Err(err("hex key must have even, nonzero length"));
-        }
-        (0..hex.len())
-            .step_by(2)
-            .map(|i| {
-                u8::from_str_radix(&hex[i..i + 2], 16)
-                    .map_err(|_| err(format!("invalid hex key `{token}`")))
-            })
-            .collect()
-    } else {
-        Ok(token.as_bytes().to_vec())
-    }
+    Key::parse(token).map(Key::to_vec)
 }
 
 /// Encodes a key for display: printable ASCII as-is, otherwise `0x<hex>`.
@@ -441,27 +629,161 @@ fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, ParseEr
         .map_err(|_| err(format!("{what}: cannot parse `{token}`")))
 }
 
-fn check_ns(ns: &str) -> Result<String, ParseError> {
+fn valid_ns(ns: &str) -> Result<&str, ParseError> {
     if ns.is_empty() || ns.len() > 128 {
         return Err(err("namespace must be 1..=128 chars"));
     }
     if !ns
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | ':'))
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b':'))
     {
         return Err(err(format!(
             "namespace `{ns}` may only contain [A-Za-z0-9._:-]"
         )));
     }
-    Ok(ns.to_string())
+    Ok(ns)
 }
 
-/// Parses one request line into a [`Command`].
+fn check_ns(ns: &str) -> Result<String, ParseError> {
+    valid_ns(ns).map(str::to_owned)
+}
+
+/// How many argument tokens [`Args`] holds; every fixed arity fits.
+const ARGS_INLINE: usize = 8;
+
+/// The tokens after the verb of a fixed-arity verb, split in one pass
+/// without collecting them: the first [`ARGS_INLINE`] are held, and any
+/// later ones are re-split from the start of the arguments.
+#[derive(Clone)]
+struct Args<'a> {
+    head: [&'a str; ARGS_INLINE],
+    tokens: SplitAsciiWhitespace<'a>,
+    len: usize,
+}
+
+impl<'a> Args<'a> {
+    fn new(tokens: SplitAsciiWhitespace<'a>) -> Self {
+        let mut head = [""; ARGS_INLINE];
+        let mut len = 0;
+        for token in tokens.clone() {
+            if let Some(slot) = head.get_mut(len) {
+                *slot = token;
+            }
+            len += 1;
+        }
+        Args { head, tokens, len }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, i: usize) -> Option<&'a str> {
+        if i >= self.len {
+            return None;
+        }
+        match self.head.get(i) {
+            Some(&token) => Some(token),
+            None => self.from(i).next(),
+        }
+    }
+
+    /// Token `i`, which the caller has checked against the arity.
+    fn at(&self, i: usize) -> &'a str {
+        self.get(i)
+            .expect("argument index checked against the arity")
+    }
+
+    fn last(&self) -> Option<&'a str> {
+        self.get(self.len.checked_sub(1)?)
+    }
+
+    /// Drops the last token.
+    fn pop(&mut self) {
+        self.len -= 1;
+    }
+
+    /// The tokens from index `i` on.
+    fn from(&self, i: usize) -> SplitAsciiWhitespace<'a> {
+        let mut tokens = self.tokens.clone();
+        for _ in 0..i {
+            tokens.next();
+        }
+        tokens
+    }
+}
+
+/// `MQUERY`/`MINSERT ns key...` and `MWHICH key...`. `MQUERY` keys are
+/// validated in place and stay borrowed; the others are decoded into
+/// owned keys in the pass that validates them. Errors come in the
+/// grammar's order: arity, then the namespace, then the first bad key.
+fn parse_multi_key<'a>(
+    verb: &str,
+    upper: &[u8],
+    mut tokens: SplitAsciiWhitespace<'a>,
+) -> Result<Request<'a>, ParseError> {
+    if upper == b"MWHICH" {
+        if tokens.clone().next().is_none() {
+            return Err(err("usage: MWHICH key [key...]"));
+        }
+        let keys = tokens.map(decode_key).collect::<Result<_, _>>()?;
+        return Ok(Request::Command(Command::MWhich { keys }));
+    }
+    let ns = match tokens.next() {
+        Some(ns) if tokens.clone().next().is_some() => valid_ns(ns)?,
+        _ => return Err(err(format!("usage: {verb} ns key [key...]"))),
+    };
+    if upper == b"MQUERY" {
+        let mut len = 0;
+        for token in tokens.clone() {
+            Key::parse(token)?;
+            len += 1;
+        }
+        return Ok(Request::MQuery {
+            ns,
+            keys: Keys { tokens, len },
+        });
+    }
+    let keys = tokens.map(decode_key).collect::<Result<_, _>>()?;
+    Ok(Request::Command(Command::MInsert {
+        ns: ns.to_owned(),
+        keys,
+    }))
+}
+
+/// No verb is longer than this; a longer first token is an unknown command.
+const VERB_MAX: usize = 16;
+
+/// Upper-cases `verb` into `buf` (empty when it does not fit).
+fn upper_verb<'b>(verb: &str, buf: &'b mut [u8; VERB_MAX]) -> &'b [u8] {
+    let Some(upper) = buf.get_mut(..verb.len()) else {
+        return &[];
+    };
+    for (dst, src) in upper.iter_mut().zip(verb.bytes()) {
+        *dst = src.to_ascii_uppercase();
+    }
+    upper
+}
+
+/// Parses one request line into a [`Command`]: [`parse_request`], with
+/// a borrowed `QUERY`/`MQUERY` copied out.
 pub fn parse_command(line: &str) -> Result<Command, ParseError> {
+    parse_request(line).map(Request::into_command)
+}
+
+/// Parses one request line. This is the whole grammar; `QUERY` and
+/// `MQUERY` come back borrowed from `line` with every key validated, so
+/// the read path allocates nothing to parse them.
+pub fn parse_request(line: &str) -> Result<Request<'_>, ParseError> {
     let line = line.strip_suffix('\r').unwrap_or(line);
     let mut tokens = line.split_ascii_whitespace();
     let verb = tokens.next().ok_or_else(|| err("empty command"))?;
-    let rest: Vec<&str> = tokens.collect();
+    let mut upper = [0u8; VERB_MAX];
+    let upper = upper_verb(verb, &mut upper);
+    if let b"MQUERY" | b"MINSERT" | b"MWHICH" = upper {
+        return parse_multi_key(verb, upper, tokens);
+    }
+    let rest = Args::new(tokens);
 
     let arity = |n: usize, usage: &str| -> Result<(), ParseError> {
         if rest.len() == n {
@@ -471,10 +793,17 @@ pub fn parse_command(line: &str) -> Result<Command, ParseError> {
         }
     };
 
-    match verb.to_ascii_uppercase().as_str() {
-        "PING" => Ok(Command::Ping),
-        "CREATE" => {
-            let mut rest = rest;
+    let command = match upper {
+        b"QUERY" => {
+            arity(2, "QUERY ns key")?;
+            return Ok(Request::Query {
+                ns: valid_ns(rest.at(0))?,
+                key: Key::parse(rest.at(1))?,
+            });
+        }
+        b"PING" => Command::Ping,
+        b"CREATE" => {
+            let mut rest = rest.clone();
             // The optional `family=` selector is the trailing token so the
             // positional grammar stays untouched for existing clients.
             let family = match rest.last().and_then(|t| t.strip_prefix("family=")) {
@@ -497,8 +826,8 @@ pub fn parse_command(line: &str) -> Result<Command, ParseError> {
                     "usage: CREATE ns shbf-m|shbf-x|shbf-a|multiset m k [extra] [seed] [family=seeded|one-shot]",
                 ));
             }
-            let ns = check_ns(rest[0])?;
-            let kind = match rest[1] {
+            let ns = check_ns(rest.at(0))?;
+            let kind = match rest.at(1) {
                 "shbf-m" => KindSpec::Membership,
                 "shbf-x" => KindSpec::Multiplicity,
                 "shbf-a" => KindSpec::Association,
@@ -509,11 +838,11 @@ pub fn parse_command(line: &str) -> Result<Command, ParseError> {
                     )))
                 }
             };
-            let m = parse_num(rest[2], "m")?;
-            let k = parse_num(rest[3], "k")?;
+            let m = parse_num(rest.at(2), "m")?;
+            let k = parse_num(rest.at(3), "k")?;
             let extra = rest.get(4).map(|t| parse_num(t, "extra")).transpose()?;
             let seed = rest.get(5).map(|t| parse_num(t, "seed")).transpose()?;
-            Ok(Command::Create {
+            Command::Create {
                 ns,
                 kind,
                 m,
@@ -521,218 +850,192 @@ pub fn parse_command(line: &str) -> Result<Command, ParseError> {
                 extra,
                 seed,
                 family,
-            })
+            }
         }
-        "INSERT" | "DELETE" => {
+        b"INSERT" | b"DELETE" => {
             if !(2..=3).contains(&rest.len()) {
                 return Err(err(format!("usage: {verb} ns key [1|2]")));
             }
-            let ns = check_ns(rest[0])?;
-            let key = decode_key(rest[1])?;
-            let set = parse_set(rest.get(2).copied())?;
+            let ns = check_ns(rest.at(0))?;
+            let key = decode_key(rest.at(1))?;
+            let set = parse_set(rest.get(2))?;
             if verb.eq_ignore_ascii_case("INSERT") {
-                Ok(Command::Insert { ns, key, set })
+                Command::Insert { ns, key, set }
             } else {
-                Ok(Command::Delete { ns, key, set })
+                Command::Delete { ns, key, set }
             }
         }
-        "QUERY" => {
-            arity(2, "QUERY ns key")?;
-            Ok(Command::Query {
-                ns: check_ns(rest[0])?,
-                key: decode_key(rest[1])?,
-            })
-        }
-        "MQUERY" | "MINSERT" => {
-            if rest.len() < 2 {
-                return Err(err(format!("usage: {verb} ns key [key...]")));
-            }
-            let ns = check_ns(rest[0])?;
-            let keys = rest[1..]
-                .iter()
-                .map(|t| decode_key(t))
-                .collect::<Result<Vec<_>, _>>()?;
-            if verb.eq_ignore_ascii_case("MQUERY") {
-                Ok(Command::MQuery { ns, keys })
-            } else {
-                Ok(Command::MInsert { ns, keys })
-            }
-        }
-        "COUNT" => {
+        b"COUNT" => {
             arity(2, "COUNT ns key")?;
-            Ok(Command::Count {
-                ns: check_ns(rest[0])?,
-                key: decode_key(rest[1])?,
-            })
+            Command::Count {
+                ns: check_ns(rest.at(0))?,
+                key: decode_key(rest.at(1))?,
+            }
         }
-        "ASSOC" => {
+        b"ASSOC" => {
             arity(2, "ASSOC ns key")?;
-            Ok(Command::Assoc {
-                ns: check_ns(rest[0])?,
-                key: decode_key(rest[1])?,
-            })
+            Command::Assoc {
+                ns: check_ns(rest.at(0))?,
+                key: decode_key(rest.at(1))?,
+            }
         }
-        "MSINSERT" | "MSDELETE" => {
+        b"MSINSERT" | b"MSDELETE" => {
             if rest.len() != 3 {
                 return Err(err(format!("usage: {verb} ns key set-id")));
             }
-            let ns = check_ns(rest[0])?;
-            let key = decode_key(rest[1])?;
-            let set = parse_num(rest[2], "set-id")?;
+            let ns = check_ns(rest.at(0))?;
+            let key = decode_key(rest.at(1))?;
+            let set = parse_num(rest.at(2), "set-id")?;
             if verb.eq_ignore_ascii_case("MSINSERT") {
-                Ok(Command::MsInsert { ns, key, set })
+                Command::MsInsert { ns, key, set }
             } else {
-                Ok(Command::MsDelete { ns, key, set })
+                Command::MsDelete { ns, key, set }
             }
         }
-        "MSQUERY" => {
+        b"MSQUERY" => {
             arity(2, "MSQUERY ns key")?;
-            Ok(Command::MsQuery {
-                ns: check_ns(rest[0])?,
-                key: decode_key(rest[1])?,
-            })
-        }
-        "WHICH" => {
-            arity(1, "WHICH key")?;
-            Ok(Command::Which {
-                key: decode_key(rest[0])?,
-            })
-        }
-        "MWHICH" => {
-            if rest.is_empty() {
-                return Err(err("usage: MWHICH key [key...]"));
+            Command::MsQuery {
+                ns: check_ns(rest.at(0))?,
+                key: decode_key(rest.at(1))?,
             }
-            let keys = rest
-                .iter()
-                .map(|t| decode_key(t))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Command::MWhich { keys })
         }
-        "STATS" => {
+        b"WHICH" => {
+            arity(1, "WHICH key")?;
+            Command::Which {
+                key: decode_key(rest.at(0))?,
+            }
+        }
+        b"STATS" => {
             arity(1, "STATS ns")?;
-            Ok(Command::Stats {
-                ns: check_ns(rest[0])?,
-            })
+            Command::Stats {
+                ns: check_ns(rest.at(0))?,
+            }
         }
-        "NAMESPACES" => {
+        b"NAMESPACES" => {
             arity(0, "NAMESPACES")?;
-            Ok(Command::Namespaces)
+            Command::Namespaces
         }
-        "DROP" => {
+        b"DROP" => {
             arity(1, "DROP ns")?;
-            Ok(Command::Drop {
-                ns: check_ns(rest[0])?,
-            })
+            Command::Drop {
+                ns: check_ns(rest.at(0))?,
+            }
         }
-        "SNAPSHOT" => {
+        b"SNAPSHOT" => {
             arity(1, "SNAPSHOT path")?;
-            Ok(Command::Snapshot {
-                path: rest[0].to_string(),
-            })
+            Command::Snapshot {
+                path: rest.at(0).to_string(),
+            }
         }
-        "LOAD" => {
+        b"LOAD" => {
             arity(1, "LOAD path")?;
-            Ok(Command::Load {
-                path: rest[0].to_string(),
-            })
+            Command::Load {
+                path: rest.at(0).to_string(),
+            }
         }
-        "REPLICAOF" => {
+        b"REPLICAOF" => {
             // `REPLICAOF NO ONE` detaches (Redis idiom); anything else is
             // a single `host:port` target.
             if rest.len() == 2
-                && rest[0].eq_ignore_ascii_case("no")
-                && rest[1].eq_ignore_ascii_case("one")
+                && rest.at(0).eq_ignore_ascii_case("no")
+                && rest.at(1).eq_ignore_ascii_case("one")
             {
-                return Ok(Command::ReplicaOf { target: None });
+                return Ok(Request::Command(Command::ReplicaOf { target: None }));
             }
             arity(1, "REPLICAOF host:port | REPLICAOF NO ONE")?;
-            Ok(Command::ReplicaOf {
-                target: Some(rest[0].to_string()),
-            })
+            Command::ReplicaOf {
+                target: Some(rest.at(0).to_string()),
+            }
         }
-        "SYNC" => {
+        b"SYNC" => {
             arity(1, "SYNC have_seq")?;
-            Ok(Command::Sync {
-                have: parse_num(rest[0], "have_seq")?,
-            })
+            Command::Sync {
+                have: parse_num(rest.at(0), "have_seq")?,
+            }
         }
-        "PULLOPS" => {
+        b"PULLOPS" => {
             arity(3, "PULLOPS id from max")?;
-            Ok(Command::PullOps {
-                id: rest[0].to_string(),
-                from: parse_num(rest[1], "from")?,
-                max: parse_num(rest[2], "max")?,
-            })
+            Command::PullOps {
+                id: rest.at(0).to_string(),
+                from: parse_num(rest.at(1), "from")?,
+                max: parse_num(rest.at(2), "max")?,
+            }
         }
-        "SLOWLOG" => {
+        b"SLOWLOG" => {
             let usage = "SLOWLOG GET [n] | SLOWLOG RESET | SLOWLOG LEN";
-            let sub = rest.first().ok_or_else(|| err(format!("usage: {usage}")))?;
+            let sub = rest.get(0).ok_or_else(|| err(format!("usage: {usage}")))?;
             match sub.to_ascii_uppercase().as_str() {
                 "GET" if rest.len() <= 2 => {
                     let n = rest.get(1).map(|t| parse_num(t, "n")).transpose()?;
-                    Ok(Command::SlowLog {
+                    Command::SlowLog {
                         sub: SlowLogSub::Get { n: n.unwrap_or(10) },
-                    })
+                    }
                 }
-                "RESET" if rest.len() == 1 => Ok(Command::SlowLog {
+                "RESET" if rest.len() == 1 => Command::SlowLog {
                     sub: SlowLogSub::Reset,
-                }),
-                "LEN" if rest.len() == 1 => Ok(Command::SlowLog {
+                },
+                "LEN" if rest.len() == 1 => Command::SlowLog {
                     sub: SlowLogSub::Len,
-                }),
-                _ => Err(err(format!("usage: {usage}"))),
+                },
+                _ => return Err(err(format!("usage: {usage}"))),
             }
         }
-        "TRACE" => {
+        b"TRACE" => {
             let usage = "TRACE GET [n] | TRACE RESET | TRACE LEN";
-            let sub = rest.first().ok_or_else(|| err(format!("usage: {usage}")))?;
+            let sub = rest.get(0).ok_or_else(|| err(format!("usage: {usage}")))?;
             match sub.to_ascii_uppercase().as_str() {
                 "GET" if rest.len() <= 2 => {
                     let n = rest.get(1).map(|t| parse_num(t, "n")).transpose()?;
-                    Ok(Command::Trace {
+                    Command::Trace {
                         sub: TraceSub::Get { n: n.unwrap_or(10) },
-                    })
+                    }
                 }
-                "RESET" if rest.len() == 1 => Ok(Command::Trace {
+                "RESET" if rest.len() == 1 => Command::Trace {
                     sub: TraceSub::Reset,
-                }),
-                "LEN" if rest.len() == 1 => Ok(Command::Trace { sub: TraceSub::Len }),
-                _ => Err(err(format!("usage: {usage}"))),
+                },
+                "LEN" if rest.len() == 1 => Command::Trace { sub: TraceSub::Len },
+                _ => return Err(err(format!("usage: {usage}"))),
             }
         }
-        "FAILPOINT" => {
+        b"FAILPOINT" => {
             let usage = "FAILPOINT SET site action | FAILPOINT CLEAR [site] | FAILPOINT LIST";
-            let sub = rest.first().ok_or_else(|| err(format!("usage: {usage}")))?;
+            let sub = rest.get(0).ok_or_else(|| err(format!("usage: {usage}")))?;
             match sub.to_ascii_uppercase().as_str() {
                 // The action may contain spaces (`return(disk full)`),
                 // so everything after the site name is one action token.
-                "SET" if rest.len() >= 3 => Ok(Command::FailPoint {
+                "SET" if rest.len() >= 3 => Command::FailPoint {
                     sub: FailPointSub::Set {
-                        site: rest[1].to_string(),
-                        action: rest[2..].join(" "),
+                        site: rest.at(1).to_string(),
+                        action: rest.from(2).collect::<Vec<_>>().join(" "),
                     },
-                }),
-                "CLEAR" if rest.len() <= 2 => Ok(Command::FailPoint {
+                },
+                "CLEAR" if rest.len() <= 2 => Command::FailPoint {
                     sub: FailPointSub::Clear {
-                        site: rest.get(1).map(|s| s.to_string()),
+                        site: rest.get(1).map(str::to_owned),
                     },
-                }),
-                "LIST" if rest.len() == 1 => Ok(Command::FailPoint {
+                },
+                "LIST" if rest.len() == 1 => Command::FailPoint {
                     sub: FailPointSub::List,
-                }),
-                _ => Err(err(format!("usage: {usage}"))),
+                },
+                _ => return Err(err(format!("usage: {usage}"))),
             }
         }
-        "SHUTDOWN" => {
+        b"SHUTDOWN" => {
             arity(0, "SHUTDOWN")?;
-            Ok(Command::Shutdown)
+            Command::Shutdown
         }
-        "QUIT" => {
+        b"QUIT" => {
             arity(0, "QUIT")?;
-            Ok(Command::Quit)
+            Command::Quit
         }
-        other => Err(err(format!("unknown command `{other}`"))),
-    }
+        _ => {
+            return Err(err(format!(
+                "unknown command `{}`",
+                verb.to_ascii_uppercase()
+            )))
+        }
+    };
+    Ok(Request::Command(command))
 }
 
 /// A reply, encodable in RESP framing.

@@ -10,11 +10,20 @@ use std::sync::Arc;
 
 use shbf::server::{Client, Engine, Server, ServerConfig, TransportKind};
 
-/// Starts a server with the metrics endpoint on an ephemeral port.
+/// Starts a threaded server with the metrics endpoint on an ephemeral
+/// port.
 fn start_observable(slowlog_us: u64) -> (shbf::server::ServerHandle, SocketAddr, SocketAddr) {
+    start_observable_on(TransportKind::Threaded, slowlog_us)
+}
+
+/// [`start_observable`] on a chosen transport.
+fn start_observable_on(
+    transport: TransportKind,
+    slowlog_us: u64,
+) -> (shbf::server::ServerHandle, SocketAddr, SocketAddr) {
     let engine = Arc::new(Engine::new());
     let config = ServerConfig {
-        transport: TransportKind::Threaded,
+        transport,
         metrics_addr: Some("127.0.0.1:0".into()),
         slowlog_us,
         ..ServerConfig::default()
@@ -244,9 +253,32 @@ fn validate_exposition(body: &str) {
     }
 }
 
+/// The same pipelined stream gives the same command counts and timed
+/// sample counts on both transports: the evented transport answers
+/// adjacent QUERY lines as one batch, yet counts each of them as a
+/// `query`, never as an `mquery`.
 #[test]
 fn scrape_under_pipelined_load_is_valid_and_complete() {
-    let (handle, addr, metrics_addr) = start_observable(10_000);
+    let series = |transport| -> Vec<String> {
+        let body = pipelined_scrape(transport);
+        body.lines()
+            .filter(|l| {
+                l.starts_with("shbf_commands_total{")
+                    || l.starts_with("shbf_command_duration_seconds_count{")
+            })
+            .map(str::to_owned)
+            .collect()
+    };
+    let threaded = series(TransportKind::Threaded);
+    let evented = series(TransportKind::Evented);
+    assert!(!threaded.is_empty());
+    assert_eq!(threaded, evented, "command series differ by transport");
+}
+
+/// Drives the pipelined scenario against a fresh server on `transport`,
+/// checks the scrape, and returns its body.
+fn pipelined_scrape(transport: TransportKind) -> String {
+    let (handle, addr, metrics_addr) = start_observable_on(transport, 10_000);
 
     let mut client = Client::connect(addr).unwrap();
     // One namespace per filter kind; the shbf-x exact table provides
@@ -301,6 +333,7 @@ fn scrape_under_pipelined_load_is_valid_and_complete() {
         "shbf_commands_total{cmd=\"insert\"} 700",
         "shbf_commands_total{cmd=\"query\"} 900",
         "shbf_commands_total{cmd=\"create\"} 3",
+        "shbf_commands_total{cmd=\"mquery\"} 1\n",
         // Batched commands are timed on every dispatch; single-key
         // QUERY timing is clock-sampled (1/64), so only its total is
         // asserted exactly above.
@@ -315,7 +348,10 @@ fn scrape_under_pipelined_load_is_valid_and_complete() {
         "shbf_transport_bytes_in_total",
         "shbf_build_info{version=",
     ] {
-        assert!(body.contains(needle), "missing `{needle}` in:\n{body}");
+        assert!(
+            body.contains(needle),
+            "{transport:?}: missing `{needle}` in:\n{body}"
+        );
     }
     // No WAL configured: WAL families stay absent rather than lying with
     // zeros.
@@ -340,6 +376,7 @@ fn scrape_under_pipelined_load_is_valid_and_complete() {
             out.is_empty()
         }
     );
+    body
 }
 
 #[test]

@@ -12,11 +12,17 @@
 //!    commands, random token soup, or raw bytes smashed through lossy
 //!    UTF-8 — malformed input must come back as a parse error, not a
 //!    crash that drops the connection.
+//! 3. **One grammar**: the borrowed front-end [`parse_request`], whose
+//!    keys the evented transport resolves in place, and the owned
+//!    [`parse_command`] agree on every line — the same command with the
+//!    same key bytes, or the same error text.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use shbf::server::{parse_command, scan_line, Scan};
+use shbf::server::{
+    parse_command, parse_request, resolve_keys, scan_line, Command, Key, Request, Scan,
+};
 
 /// A parse event, as the evented transport would see it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,8 +110,148 @@ fn build_stream(fragments: &[(u8, Vec<u8>)]) -> Vec<u8> {
     s
 }
 
+/// The owned command the borrowed front-end's answer denotes, with keys
+/// resolved the way the evented transport resolves them (in place, `0x…`
+/// keys through one reused decode buffer), or its error text.
+fn via_borrowed_path(line: &str, hex: &mut Vec<u8>) -> Result<Command, String> {
+    let mut slices: Vec<&[u8]> = Vec::new();
+    match parse_request(line).map_err(|e| e.to_string())? {
+        Request::Query { ns, key } => {
+            resolve_keys(std::iter::once(key), hex, &mut slices);
+            Ok(Command::Query {
+                ns: ns.to_owned(),
+                key: slices[0].to_vec(),
+            })
+        }
+        Request::MQuery { ns, keys } => {
+            let len = keys.len();
+            resolve_keys(keys, hex, &mut slices);
+            assert_eq!(slices.len(), len, "`{line}`: key count");
+            Ok(Command::MQuery {
+                ns: ns.to_owned(),
+                keys: slices.iter().map(|k| k.to_vec()).collect(),
+            })
+        }
+        Request::Command(cmd) => {
+            assert!(
+                !matches!(cmd, Command::Query { .. } | Command::MQuery { .. }),
+                "`{line}`: read verbs must come back borrowed"
+            );
+            Ok(cmd)
+        }
+    }
+}
+
+/// A key token plus the bytes it must decode to (`None`: the token is
+/// malformed and the line must fail).
+fn key_token(kind: u8, bytes: &[u8]) -> (String, Option<Vec<u8>>) {
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    match kind % 9 {
+        0 | 1 => {
+            let plain: String = bytes.iter().map(|b| (b'a' + b % 26) as char).collect();
+            let plain = if plain.is_empty() { "k".into() } else { plain };
+            let expect = plain.clone().into_bytes();
+            (plain, Some(expect))
+        }
+        2 if !bytes.is_empty() => (format!("0x{hex}"), Some(bytes.to_vec())),
+        3 if !bytes.is_empty() => (format!("0x{}", hex.to_uppercase()), Some(bytes.to_vec())),
+        4 => (format!("0x{hex}a"), None),
+        5 => ("0xzz".into(), None),
+        6 => ("0x".into(), None),
+        7 => ("0x+a".into(), None),
+        8 => ("0x\u{20ac}a".into(), None),
+        // Empty `bytes` for the hex kinds: a plain key that merely
+        // looks like hex.
+        _ => (
+            "0xlooks-like-hex".into(),
+            Some(b"0xlooks-like-hex".to_vec()),
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Arbitrary QUERY/MQUERY-shaped lines (mixed-case verbs, hex and
+    /// malformed keys, bad namespaces, wrong arity, runs of whitespace,
+    /// trailing `\r`) parse to the same command with the same key bytes,
+    /// or the same error, through both front doors; well-formed keys
+    /// decode to the bytes they were built from.
+    #[test]
+    fn borrowed_front_end_agrees_with_parse_command(
+        verb in 0u8..8,
+        ns_kind in 0u8..6,
+        keys in vec((any::<u8>(), vec(any::<u8>(), 0..6)), 0..6),
+        seps in vec(0u8..4, 1..8),
+        crlf in any::<bool>(),
+    ) {
+        let verb = ["QUERY", "query", "QuErY", "MQUERY", "mquery", "MqUeRy", "INSERT", "BOGUS"]
+            [verb as usize];
+        let ns = match ns_kind {
+            0..=2 => "flows".to_string(),
+            3 => "b@d".to_string(),
+            4 => "n".repeat(129),
+            _ => "a.b:c-d_e".to_string(),
+        };
+        let sep = |i: usize| [" ", "  ", "\t", " \t "][seps[i % seps.len()] as usize];
+        let mut line = format!("{verb}{}{ns}", sep(0));
+        let mut expected = Vec::new();
+        for (i, (kind, bytes)) in keys.iter().enumerate() {
+            let (token, expect) = key_token(*kind, bytes);
+            line.push_str(sep(i + 1));
+            line.push_str(&token);
+            expected.push(expect);
+        }
+        if crlf {
+            line.push('\r');
+        }
+
+        let mut hex = Vec::new();
+        let owned = parse_command(&line).map_err(|e| e.to_string());
+        let borrowed = via_borrowed_path(&line, &mut hex);
+        prop_assert_eq!(&borrowed, &owned, "`{}`", line.escape_debug());
+
+        // Where the line is well formed, the keys are the built bytes.
+        let keys_of = |cmd: &Command| match cmd {
+            Command::Query { key, .. } => vec![key.clone()],
+            Command::MQuery { keys, .. } => keys.clone(),
+            _ => Vec::new(),
+        };
+        if let Ok(cmd) = &owned {
+            let want: Vec<Vec<u8>> = expected.iter().flatten().cloned().collect();
+            if matches!(cmd, Command::Query { .. } | Command::MQuery { .. }) {
+                prop_assert_eq!(keys_of(cmd), want);
+            }
+        }
+        if expected.iter().any(Option::is_none) && ns_kind < 3 {
+            prop_assert!(owned.is_err(), "`{}` has a malformed key", line.escape_debug());
+        }
+    }
+
+    /// Key tokens alone: the borrowed [`Key`] and its in-place resolution
+    /// decode exactly what the owned decoder does.
+    #[test]
+    fn key_tokens_resolve_like_owned_decoding(
+        keys in vec((any::<u8>(), vec(any::<u8>(), 0..6)), 1..8),
+    ) {
+        let tokens: Vec<String> = keys.iter().map(|(k, b)| key_token(*k, b).0).collect();
+        let parsed: Result<Vec<Key>, _> = tokens.iter().map(|t| Key::parse(t)).collect();
+        let owned: Result<Vec<Vec<u8>>, _> =
+            tokens.iter().map(|t| shbf::server::protocol::decode_key(t)).collect();
+        match (parsed, owned) {
+            (Ok(parsed), Ok(owned)) => {
+                let mut hex = Vec::new();
+                let mut slices = Vec::new();
+                resolve_keys(parsed.iter().copied(), &mut hex, &mut slices);
+                let resolved: Vec<Vec<u8>> = slices.iter().map(|s| s.to_vec()).collect();
+                prop_assert_eq!(&resolved, &owned);
+                let copied: Vec<Vec<u8>> = parsed.iter().map(|k| k.to_vec()).collect();
+                prop_assert_eq!(copied, owned);
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "disagree on {:?}: {:?} vs {:?}", tokens, a, b),
+        }
+    }
 
     /// Arbitrary chunkings of arbitrary byte streams yield the same
     /// events as single-shot framing, for generous and tiny line caps.

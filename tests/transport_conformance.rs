@@ -126,6 +126,48 @@ fn main_script() -> Vec<u8> {
     s
 }
 
+/// QUERY runs whose keys are `0x…` tokens, mixed with plain keys, in
+/// both hex cases and in one run with an explicit `MQUERY` of the same
+/// keys (the evented transport decodes them into one reused buffer).
+fn hex_key_script() -> Vec<u8> {
+    let mut s = Vec::new();
+    s.extend_from_slice(b"MINSERT flows 0x0aff 0x00 h-1 0x7365672d62\n");
+    s.extend_from_slice(b"QUERY flows 0x0aff\nQUERY flows h-1\nQUERY flows 0x0AFF\n");
+    s.extend_from_slice(b"QUERY flows 0x7365672d61\nQUERY flows seg-b\nQUERY flows 0x00\n");
+    s.extend_from_slice(b"QUERY flows 0xdead\nQUERY flows 0x0aff00\nquery flows 0x00\n");
+    s.extend_from_slice(b"MQUERY flows 0x0aff h-1 0x00 0xbeef seg-a 0x7365672d62\n");
+    s.extend_from_slice(b"QUERY sizes 0x686f74\nQUERY sizes hot\n");
+    s.extend_from_slice(b"QUIT\r\n");
+    s
+}
+
+/// QUERY runs that hop between namespaces (every kind, plus an unknown
+/// one) so groups flush on each switch.
+fn namespace_switch_script() -> Vec<u8> {
+    let mut s = Vec::new();
+    s.extend_from_slice(b"QUERY flows seg-a\nQUERY sizes hot\nQUERY sizes cold\n");
+    s.extend_from_slice(b"QUERY flows seg-a\nQUERY flows miss\nQUERY assoc file-1\n");
+    s.extend_from_slice(b"QUERY ghost a\nQUERY ghost b\nQUERY flows seg-a\n");
+    s.extend_from_slice(b"QUERY  flows \t seg-a\r\nQuErY sizes hot\nQUERY flows seg-a\n");
+    s.extend_from_slice(b"QUIT\n");
+    s
+}
+
+/// Error lines in the middle of QUERY runs: malformed keys (including a
+/// multi-byte character inside a hex token), bad namespaces, wrong
+/// arity, unknown verbs, and a bad key inside an `MQUERY`.
+fn error_mid_run_script() -> Vec<u8> {
+    let mut s = Vec::new();
+    s.extend_from_slice(b"QUERY flows seg-a\nQUERY flows 0xzz\nQUERY flows seg-a\n");
+    s.extend_from_slice(b"QUERY flows 0x1\nQUERY flows 0x\nQUERY flows 0x+a\n");
+    s.extend_from_slice("QUERY flows 0x\u{20ac}a\nQUERY flows seg-a\n".as_bytes());
+    s.extend_from_slice(b"QUERY b@d seg-a\nQUERY flows\nQUERY flows a b\nQUERY flows seg-a\n");
+    s.extend_from_slice(b"MQUERY flows seg-a 0xzz\nQUERY flows seg-a\nNOPE flows\n");
+    s.extend_from_slice(b"QUERY flows seg-a\n\n   \nQUERY flows seg-a\n");
+    s.extend_from_slice(b"QUIT\n");
+    s
+}
+
 /// Writes `segments` with a pause between them, half-closes, reads to
 /// EOF.
 fn drive(endpoint: &Endpoint, segments: &[&[u8]], pause: Duration) -> Vec<u8> {
@@ -160,6 +202,21 @@ fn scripted_sessions_are_byte_identical_across_all_transports() {
         Script {
             name: "pipelined_mixed",
             bytes: main_script(),
+            seeded: true,
+        },
+        Script {
+            name: "query_runs_with_hex_keys",
+            bytes: hex_key_script(),
+            seeded: true,
+        },
+        Script {
+            name: "query_runs_switching_namespace",
+            bytes: namespace_switch_script(),
+            seeded: true,
+        },
+        Script {
+            name: "query_runs_broken_by_error_lines",
+            bytes: error_mid_run_script(),
             seeded: true,
         },
         Script {
