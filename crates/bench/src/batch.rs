@@ -12,8 +12,10 @@
 //! Filter sizes should straddle the cache hierarchy: `2²⁰` bits (128 KiB,
 //! ~L2), `2²³` (1 MiB, ~LLC), `2²⁶` (8 MiB, DRAM-resident on most parts).
 //! The probe mix is half members, half misses, interleaved. Every series
-//! counts its positive verdicts and the harness asserts all four agree —
-//! throughput numbers are only comparable if behaviour is identical.
+//! counts its positive verdicts and the harness asserts scalar and batch
+//! agree within each family — throughput numbers are only comparable if
+//! behaviour is identical. The speedups compare batch with scalar within
+//! one family, so each isolates the batch kernel from the hashing lever.
 
 use std::time::{Duration, Instant};
 
@@ -31,7 +33,8 @@ pub struct BatchBenchConfig {
     pub batch: usize,
     /// Total probe keys per size (half members, half misses).
     pub probes: usize,
-    /// Per-series measurement budget in milliseconds.
+    /// Measurement budget per series in milliseconds (the series of a
+    /// size run interleaved, so a size takes about four times this).
     pub measure_ms: u64,
     /// Master seed for keys and filters.
     pub seed: u64,
@@ -55,7 +58,8 @@ impl Default for BatchBenchConfig {
 pub struct Series {
     /// Series name (`scalar_seeded`, `batch_one_shot`, …).
     pub name: &'static str,
-    /// Median-of-passes throughput in queries per second.
+    /// Passes times probes over the series' total time, in queries per
+    /// second.
     pub ops_per_sec: f64,
     /// Positive verdicts over one probe pass (behavioural fingerprint).
     pub positives: u64,
@@ -70,9 +74,25 @@ pub struct SizePoint {
     pub n_keys: usize,
     /// The four series.
     pub series: Vec<Series>,
-    /// `batch_one_shot` ops/s over `scalar_seeded` ops/s — the headline
-    /// number the acceptance gate checks (≥ 2× at `m = 2²⁶`).
-    pub speedup_batch_one_shot_vs_scalar_seeded: f64,
+    /// `batch_seeded` over `scalar_seeded` throughput, the median over
+    /// rounds: the batch kernel alone, with hashing held fixed.
+    pub batch_vs_scalar_seeded: f64,
+    /// `batch_one_shot` over `scalar_one_shot` throughput, the median over
+    /// rounds.
+    pub batch_vs_scalar_one_shot: f64,
+}
+
+/// The series of one size, in the order they run in each round.
+const SERIES: [&str; 4] = [
+    "scalar_seeded",
+    "batch_seeded",
+    "scalar_one_shot",
+    "batch_one_shot",
+];
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn keys(n: usize, seed: u64) -> Vec<[u8; 16]> {
@@ -86,25 +106,6 @@ fn keys(n: usize, seed: u64) -> Vec<[u8; 16]> {
             key
         })
         .collect()
-}
-
-/// Runs one pass-counting measurement: `pass` must run a full probe sweep
-/// and return the number of positive verdicts. Returns (ops/s, positives).
-fn measure(probes: usize, budget: Duration, mut pass: impl FnMut() -> u64) -> (f64, u64) {
-    // One warm-up pass (page-in, branch warm-up) whose verdicts also serve
-    // as the behavioural fingerprint.
-    let positives = pass();
-    let mut elapsed = Duration::ZERO;
-    let mut passes = 0u64;
-    while elapsed < budget {
-        let t = Instant::now();
-        let p = std::hint::black_box(pass());
-        elapsed += t.elapsed();
-        passes += 1;
-        assert_eq!(p, positives, "verdicts changed between passes");
-    }
-    let ops = (passes as f64 * probes as f64) / elapsed.as_secs_f64();
-    (ops, positives)
 }
 
 /// Benchmarks one filter size; panics if any series' verdicts diverge.
@@ -145,52 +146,69 @@ pub fn run_size(cfg: &BatchBenchConfig, m: usize) -> SizePoint {
         hits
     };
 
-    let (ops, fp) = measure(probes.len(), budget, || count_scalar(&seeded));
-    let scalar_seeded = Series {
-        name: "scalar_seeded",
-        ops_per_sec: ops,
-        positives: fp,
+    // The four series run in rounds of one pass each, back to back, so a
+    // change of host speed hits a round's four passes alike; each ratio
+    // is the median of its per-round ratios. One warm-up pass per series
+    // (page-in, branch warm-up) fixes its verdict count, the behavioural
+    // fingerprint every later pass must repeat.
+    let mut pass = |series: usize| match series {
+        0 => count_scalar(&seeded),
+        1 => count_batch(&seeded),
+        2 => count_scalar(&one_shot),
+        _ => count_batch(&one_shot),
     };
-    let (ops, fp) = measure(probes.len(), budget, || count_batch(&seeded));
-    let batch_seeded = Series {
-        name: "batch_seeded",
-        ops_per_sec: ops,
-        positives: fp,
-    };
-    let (ops, fp) = measure(probes.len(), budget, || count_scalar(&one_shot));
-    let scalar_one_shot = Series {
-        name: "scalar_one_shot",
-        ops_per_sec: ops,
-        positives: fp,
-    };
-    let (ops, fp) = measure(probes.len(), budget, || count_batch(&one_shot));
-    let batch_one_shot = Series {
-        name: "batch_one_shot",
-        ops_per_sec: ops,
-        positives: fp,
-    };
-
+    let positives: Vec<u64> = (0..4).map(&mut pass).collect();
+    let mut elapsed = [Duration::ZERO; 4];
+    let (mut seeded_ratios, mut one_shot_ratios) = (Vec::new(), Vec::new());
+    while elapsed.iter().sum::<Duration>() < 4 * budget {
+        let mut round = [Duration::ZERO; 4];
+        for (series, time) in round.iter_mut().enumerate() {
+            let t = Instant::now();
+            let p = std::hint::black_box(pass(series));
+            *time = t.elapsed();
+            assert_eq!(p, positives[series], "verdicts changed between passes");
+        }
+        for (total, time) in elapsed.iter_mut().zip(round) {
+            *total += time;
+        }
+        seeded_ratios.push(round[0].as_secs_f64() / round[1].as_secs_f64());
+        one_shot_ratios.push(round[2].as_secs_f64() / round[3].as_secs_f64());
+    }
     // Zero behavioural divergence within each filter: scalar == batch.
     assert_eq!(
-        scalar_seeded.positives, batch_seeded.positives,
+        positives[0], positives[1],
         "seeded batch verdicts diverge from scalar at m = {m}"
     );
     assert_eq!(
-        scalar_one_shot.positives, batch_one_shot.positives,
+        positives[2], positives[3],
         "one-shot batch verdicts diverge from scalar at m = {m}"
     );
 
-    let speedup = batch_one_shot.ops_per_sec / scalar_seeded.ops_per_sec;
+    let passes = seeded_ratios.len() as f64;
+    let series = SERIES
+        .iter()
+        .zip(elapsed)
+        .zip(positives)
+        .map(|((&name, time), positives)| Series {
+            name,
+            ops_per_sec: passes * probes.len() as f64 / time.as_secs_f64(),
+            positives,
+        })
+        .collect();
     SizePoint {
         m_bits: m,
         n_keys: n,
-        series: vec![scalar_seeded, batch_seeded, scalar_one_shot, batch_one_shot],
-        speedup_batch_one_shot_vs_scalar_seeded: speedup,
+        series,
+        batch_vs_scalar_seeded: median(seeded_ratios),
+        batch_vs_scalar_one_shot: median(one_shot_ratios),
     }
 }
 
 /// Runs every configured size and renders the `BENCH_batch.json` document.
-pub fn run(cfg: &BatchBenchConfig) -> (Vec<SizePoint>, String) {
+/// `before`, when given, is an earlier document of this emitter (say, a
+/// run at the parent commit); it is embedded verbatim as the `"before"`
+/// field so one file holds both sides of a change.
+pub fn run(cfg: &BatchBenchConfig, before: Option<&str>) -> (Vec<SizePoint>, String) {
     let points: Vec<SizePoint> = cfg.m_sizes.iter().map(|&m| run_size(cfg, m)).collect();
     let mut json = String::new();
     json.push_str("{\n");
@@ -219,15 +237,24 @@ pub fn run(cfg: &BatchBenchConfig) -> (Vec<SizePoint>, String) {
         }
         json.push_str("      },\n");
         json.push_str(&format!(
-            "      \"speedup_batch_one_shot_vs_scalar_seeded\": {:.2}\n",
-            p.speedup_batch_one_shot_vs_scalar_seeded
+            "      \"batch_vs_scalar_seeded\": {:.2},\n",
+            p.batch_vs_scalar_seeded
+        ));
+        json.push_str(&format!(
+            "      \"batch_vs_scalar_one_shot\": {:.2}\n",
+            p.batch_vs_scalar_one_shot
         ));
         json.push_str(&format!(
             "    }}{}\n",
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ]");
+    if let Some(before) = before {
+        json.push_str(",\n  \"before\": ");
+        json.push_str(&before.trim().replace('\n', "\n  "));
+    }
+    json.push_str("\n}\n");
     (points, json)
 }
 
@@ -243,7 +270,7 @@ mod tests {
             measure_ms: 5,
             ..BatchBenchConfig::default()
         };
-        let (points, json) = run(&cfg);
+        let (points, json) = run(&cfg, None);
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].series.len(), 4);
         for s in &points[0].series {
@@ -251,5 +278,13 @@ mod tests {
         }
         assert!(json.contains("\"batch_one_shot\""));
         assert!(json.contains("\"m_bits\": 16384"));
+        assert!(json.contains("\"batch_vs_scalar_seeded\""));
+        assert!(json.contains("\"nproc\""));
+
+        // A second run embeds the first as its `before` side.
+        let (_, both) = run(&cfg, Some(&json));
+        assert!(both.contains("\"before\": {"));
+        assert_eq!(both.matches("\"batch_vs_scalar_one_shot\"").count(), 2);
+        assert!(both.ends_with("}\n}\n"), "{both}");
     }
 }

@@ -180,12 +180,13 @@ pub fn sci(x: f64) -> String {
     format!("{x:.3e}")
 }
 
-/// The `"timestamp"` and `"git_commit"` fields stamped into every
-/// `BENCH_*.json`, so an archived result is traceable to the tree state
-/// that produced it.
+/// The `"timestamp"`, `"git_commit"` and `"nproc"` fields stamped into
+/// every `BENCH_*.json`, so an archived result is traceable to the tree
+/// state and the machine size that produced it.
 pub fn provenance_json_fields() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     format!(
-        "  \"timestamp\": \"{}\",\n  \"git_commit\": \"{}\",\n",
+        "  \"timestamp\": \"{}\",\n  \"git_commit\": \"{}\",\n  \"nproc\": {nproc},\n",
         iso8601_utc_now(),
         git_commit()
     )
@@ -267,6 +268,7 @@ mod tests {
         let fields = provenance_json_fields();
         assert!(fields.contains("\"timestamp\": \""), "{fields}");
         assert!(fields.contains("\"git_commit\": \""), "{fields}");
+        assert!(fields.contains("\"nproc\": "), "{fields}");
         assert!(fields.ends_with(",\n"));
     }
 

@@ -50,7 +50,7 @@ impl BitArray {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
-        debug_assert!(
+        assert!(
             i < self.len_bits,
             "bit index {i} out of range {}",
             self.len_bits
@@ -106,15 +106,22 @@ impl BitArray {
         if width == 0 {
             return 0;
         }
-        let word_idx = start / 64;
         let off = start % 64;
-        let lo = self.words[word_idx] >> off;
-        // Branch-free straddle: `(hi << 1) << (63 − off)` contributes the
-        // next word's low bits when off > 0 and exactly 0 when off == 0
-        // (a plain `hi << (64 − off)` would be an invalid 64-bit shift).
-        // The straddle test `off + width > 64` is data-dependent and would
-        // mispredict ~half the time in filter probes, so it is avoided.
-        let hi = self.words.get(word_idx + 1).copied().unwrap_or(0);
+        let lo = self.words[start / 64] >> off;
+        // `hi` is the word holding the window's last bit: the next word
+        // when the window straddles, else the first word again, so a probe
+        // never touches a word (or cache line) outside its window. Its
+        // bits land at `64 − off` and up: past a non-straddling window's
+        // `width`, where the mask below clears them, and onto the window's
+        // tail when it straddles. `(hi << 1) << (63 − off)` is that shift
+        // without the invalid 64-bit shift at off == 0. The straddle test
+        // itself is data-dependent and would mispredict in filter probes,
+        // so nothing branches on it.
+        let hi = self
+            .words
+            .get((start + width - 1) / 64)
+            .copied()
+            .unwrap_or(0);
         let value = lo | ((hi << 1) << (63 - off));
         if width == 64 {
             value
@@ -154,6 +161,23 @@ impl BitArray {
     pub fn prefetch(&self, bit: usize) {
         if let Some(word) = self.words.get(bit / 64) {
             crate::prefetch::prefetch_word(word);
+        }
+    }
+
+    /// Prefetches everything [`Self::pair_all_set`]`(start, offset)` will
+    /// load: the word holding `start` and the word holding
+    /// `start + offset`, which lies in another 64-byte cache line for about
+    /// one pair in eight. The second hint is issued even when both words
+    /// share a line: a redundant hint costs less than the data-dependent
+    /// branch that would skip it. Out-of-range bits are ignored (a hint,
+    /// never a panic).
+    #[inline]
+    pub fn prefetch_pair(&self, start: usize, offset: usize) {
+        if let Some(head) = self.words.get(start / 64) {
+            crate::prefetch::prefetch_word(head);
+        }
+        if let Some(tail) = self.words.get((start + offset) / 64) {
+            crate::prefetch::prefetch_word(tail);
         }
     }
 
@@ -269,6 +293,46 @@ mod tests {
         b.set(69);
         // start 68, width 10: only rel-1 is set; tail bits (past 70) are 0.
         assert_eq!(b.read_window(68, 10), 0b10);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every window of every width, from every start — the last word's
+        /// included — equals a bit-by-bit gather, bits past `len()` read 0.
+        #[test]
+        fn read_window_equals_bitwise_reference(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..5),
+            trim in 0usize..64,
+        ) {
+            let len = (words.len() * 64 - trim).max(1);
+            let mut b = BitArray::new(len);
+            for i in 0..len {
+                if (words[i / 64] >> (i % 64)) & 1 == 1 {
+                    b.set(i);
+                }
+            }
+            for start in 0..len {
+                for width in 0..=64 {
+                    let reference = (0..width)
+                        .filter(|&j| start + j < len && b.get(start + j))
+                        .fold(0u64, |acc, j| acc | 1 << j);
+                    proptest::prop_assert_eq!(
+                        b.read_window(start, width),
+                        reference,
+                        "len {} start {} width {}", len, start, width
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_pair_never_panics() {
+        let b = BitArray::new(1000);
+        for start in [0, 63, 500, 511, 999, 1_000_000] {
+            b.prefetch_pair(start, 56);
+        }
     }
 
     #[test]

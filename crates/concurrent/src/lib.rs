@@ -9,9 +9,11 @@
 //!   concurrent inserts race benignly; queries never lock. No deletion.
 //! * [`ShardedCShbfM`] — counting filter partitioned into independently
 //!   locked shards (parking_lot RwLock), supporting concurrent deletion at
-//!   the cost of one lock acquisition per operation. The shard is chosen by
-//!   an independent hash, so per-shard load balances and the FPR analysis
-//!   applies within each shard unchanged.
+//!   the cost of one lock acquisition per operation (a batch query takes
+//!   one read lock per touched shard, in ascending shard index, for the
+//!   whole batch). The shard is chosen by an independent hash, so
+//!   per-shard load balances and the FPR analysis applies within each
+//!   shard unchanged.
 //!
 //! Guarantees: an element whose insert happened-before a query is always
 //! found (no false negatives under concurrency); false-positive behaviour
@@ -26,14 +28,4 @@ pub mod sharded;
 pub use lockfree::{ConcurrentBf, ConcurrentShbfM};
 pub use sharded::{BatchScratch, ShardedCShbfM};
 
-/// Empties `v` and hands its allocation back as a vector of another
-/// element type of the same size and alignment — in practice the same
-/// borrowed type at another lifetime. A scratch struct that outlives the
-/// borrows keeps a `Vec<&'static T>`, lends it out as a `Vec<&'a T>` for
-/// one call (plain covariance), and takes it back through here. The
-/// collect reuses the allocation in place, so a round trip allocates
-/// nothing.
-pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
-    v.clear();
-    v.into_iter().map(|_| -> U { unreachable!() }).collect()
-}
+pub use shbf_core::recycle;

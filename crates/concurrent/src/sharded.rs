@@ -8,33 +8,49 @@
 //! different shards proceed in parallel; queries on the same shard share a
 //! read lock.
 //!
+//! Lock order and hold time: a single-key operation locks one shard for
+//! that operation. A batch insert write-locks one shard at a time, for
+//! that shard's group of keys. A batch query read-locks every shard it
+//! touches, in ascending shard index, and holds them all until the batch
+//! is answered. As no thread ever waits for a shard below one it holds,
+//! no wait cycle can form, even with `std`'s writer-preferring lock (a
+//! waiting writer stalls new readers of its shard).
+//!
 //! Each shard is a complete [`CShbfM`] with `m/S` logical bits, so the
 //! per-shard load factor — and therefore the FPR formula of Theorem 1 —
 //! is unchanged in expectation.
 
-use parking_lot::RwLock;
-use shbf_core::{CShbfM, ShbfError};
+use parking_lot::{RwLock, RwLockReadGuard};
+use shbf_core::{CShbfM, ProbeScratch, ShbfError};
 use shbf_hash::{murmur3::murmur3_x64_128, range_reduce, FamilyKind};
 
 /// Serialization kind tag (core claims 1–8; the sharded wrapper takes 9).
 const SHARDED_CSHBF_M_KIND: u16 = 9;
 
-/// Reusable scratch for [`ShardedCShbfM::contains_batch_with`]: the
-/// shard-grouping index lists, the per-shard key list, the per-shard
-/// verdict buffer and the probe pipeline's stage buffer. One scratch per
-/// connection/worker turns steady-state batch queries into a
-/// zero-allocation path (the buffers grow to the high-water mark and stay).
+/// Reusable scratch for the batch paths. One scratch per connection or
+/// worker turns steady-state batches into a zero-allocation path (the
+/// buffers grow to the high-water mark and stay). It lends out read
+/// guards during a query batch, so it is not `Send`: keep it on the
+/// thread that uses it.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Indexes of the batch's keys, grouped by shard.
+    /// Query batches: each key's shard index.
+    shard_ids: Vec<usize>,
+    /// Query batches: which shards the batch touches.
+    touched: Vec<bool>,
+    /// Query batches: allocation of the per-shard read guards, kept empty
+    /// between batches. During a batch it holds one guard per touched
+    /// shard (`None` for the rest), taken in ascending shard index and
+    /// released together when the batch is answered (the guards borrow
+    /// the filter; see [`crate::recycle`]).
+    guards: Vec<Option<RwLockReadGuard<'static, CShbfM>>>,
+    /// Query batches: the probe kernel's stage buffers.
+    probe: ProbeScratch,
+    /// Insert batches: indexes of the batch's keys, grouped by shard.
     by_shard: Vec<Vec<usize>>,
-    /// Allocation of one shard's key list, kept empty between batches
-    /// (the list borrows the batch's keys; see [`crate::recycle`]).
+    /// Insert batches: allocation of one shard's key list, kept empty
+    /// between batches (the list borrows the batch's keys).
     shard_keys: Vec<&'static [u8]>,
-    /// Verdicts for one shard's keys (scattered back into the output).
-    verdicts: Vec<bool>,
-    /// Stage-1 probe positions of [`CShbfM::contains_batch_with`].
-    positions: Vec<usize>,
 }
 
 /// A sharded counting ShBF_M.
@@ -147,14 +163,19 @@ impl ShardedCShbfM {
             .sum()
     }
 
-    /// Batched membership query: keys are grouped by shard so each shard's
-    /// read lock is taken **once per batch** instead of once per key, and
-    /// each shard's group runs through [`CShbfM::contains_batch_with`]'s
-    /// prefetched two-stage pipeline. Under pipelined traffic the lock
-    /// traffic drops from `O(keys)` to `O(shards touched)` and probe cache
-    /// misses overlap instead of serializing.
+    /// Batched membership query through the staged early-exit kernel of
+    /// [`shbf_core::probe`], answers in input order.
     ///
-    /// Answers are returned in input order.
+    /// The batch runs as **one** pipeline across shards. First every key
+    /// is hashed to its shard, and each touched shard is read-locked once,
+    /// in ascending shard index; the guards are held until the whole
+    /// batch is answered. Lock traffic is `O(shards touched)` instead of
+    /// `O(keys)`, and the keys of every shard overlap their cache misses
+    /// in the same chunks. Writers ([`Self::insert`], [`Self::delete`],
+    /// [`Self::insert_batch`]) hold one shard's write lock at a time, and
+    /// a batch only ever waits for a shard above every shard it holds, so
+    /// no wait cycle can form, even under `std`'s writer-preferring lock.
+    /// A writer on a touched shard waits for at most one batch.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
         let mut out = Vec::new();
         let mut scratch = BatchScratch::default();
@@ -171,55 +192,33 @@ impl ShardedCShbfM {
         out: &mut Vec<bool>,
         scratch: &mut BatchScratch,
     ) {
-        out.clear();
-        out.resize(items.len(), false);
-        let verdicts = &mut scratch.verdicts;
-        let positions = &mut scratch.positions;
-        self.for_each_shard_group(
-            items,
-            &mut scratch.by_shard,
-            &mut scratch.shard_keys,
-            |shards, shard, indexes, keys| {
-                shards[shard]
-                    .read()
-                    .contains_batch_with(keys, verdicts, positions);
-                for (&i, &verdict) in indexes.iter().zip(verdicts.iter()) {
-                    out[i] = verdict;
-                }
-            },
+        let shard_ids = &mut scratch.shard_ids;
+        shard_ids.clear();
+        shard_ids.extend(items.iter().map(|item| self.shard_of(item.as_ref())));
+        let touched = &mut scratch.touched;
+        touched.clear();
+        touched.resize(self.shards.len(), false);
+        for &shard in shard_ids.iter() {
+            touched[shard] = true;
+        }
+        // Ascending shard order: the lock order that keeps concurrent
+        // batches deadlock-free.
+        let mut guards: Vec<Option<RwLockReadGuard<'_, CShbfM>>> =
+            std::mem::take(&mut scratch.guards);
+        guards.extend(
+            self.shards
+                .iter()
+                .zip(touched.iter())
+                .map(|(lock, &hit)| hit.then(|| lock.read())),
         );
-    }
-
-    /// The shared shard-grouping scaffolding of the batch paths: fills
-    /// `by_shard` with each key's index, then runs `per_shard` once for
-    /// every nonempty group with the group's keys gathered into the
-    /// recycled `shard_keys` allocation. Query and insert batching both
-    /// route through here so shard selection can never diverge between
-    /// them.
-    fn for_each_shard_group<'a, T: AsRef<[u8]>>(
-        &self,
-        items: &'a [T],
-        by_shard: &mut Vec<Vec<usize>>,
-        shard_keys: &mut Vec<&'static [u8]>,
-        mut per_shard: impl FnMut(&[RwLock<CShbfM>], usize, &[usize], &[&'a [u8]]),
-    ) {
-        by_shard.resize(self.shards.len(), Vec::new());
-        for group in by_shard.iter_mut() {
-            group.clear();
-        }
-        for (i, item) in items.iter().enumerate() {
-            by_shard[self.shard_of(item.as_ref())].push(i);
-        }
-        let mut keys: Vec<&'a [u8]> = std::mem::take(shard_keys);
-        for (shard, indexes) in by_shard.iter().enumerate() {
-            if indexes.is_empty() {
-                continue;
-            }
-            keys.clear();
-            keys.extend(indexes.iter().map(|&i| items[i].as_ref()));
-            per_shard(&self.shards, shard, indexes, &keys);
-        }
-        *shard_keys = crate::recycle(keys);
+        let probe_of = |i: usize| {
+            guards[shard_ids[i]]
+                .as_deref()
+                .expect("every key's shard is locked")
+                .probe()
+        };
+        shbf_core::probe::contains_batch(items, probe_of, out, &mut scratch.probe);
+        scratch.guards = crate::recycle(guards);
     }
 
     /// Batched insert: keys are grouped by shard so each shard's **write**
@@ -232,15 +231,28 @@ impl ShardedCShbfM {
     }
 
     /// [`Self::insert_batch`] with caller-owned shard-grouping scratch (the
-    /// verdict and position buffers are untouched; each shard's insert
-    /// pipeline still allocates its own stage buffer).
+    /// query buffers are untouched; each shard's insert pipeline still
+    /// allocates its own stage buffer). One shard's write lock is held at
+    /// a time.
     pub fn insert_batch_with<T: AsRef<[u8]>>(&self, items: &[T], scratch: &mut BatchScratch) {
-        self.for_each_shard_group(
-            items,
-            &mut scratch.by_shard,
-            &mut scratch.shard_keys,
-            |shards, shard, _, keys| shards[shard].write().insert_batch(keys),
-        );
+        let by_shard = &mut scratch.by_shard;
+        by_shard.resize(self.shards.len(), Vec::new());
+        for group in by_shard.iter_mut() {
+            group.clear();
+        }
+        for (i, item) in items.iter().enumerate() {
+            by_shard[self.shard_of(item.as_ref())].push(i);
+        }
+        let mut keys: Vec<&[u8]> = std::mem::take(&mut scratch.shard_keys);
+        for (shard, indexes) in by_shard.iter().enumerate() {
+            if indexes.is_empty() {
+                continue;
+            }
+            keys.clear();
+            keys.extend(indexes.iter().map(|&i| items[i].as_ref()));
+            self.shards[shard].write().insert_batch(&keys);
+        }
+        scratch.shard_keys = crate::recycle(keys);
     }
 
     /// Serializes the filter: shard hash seed plus every shard's

@@ -42,6 +42,7 @@ pub mod membership_counting;
 pub mod multiplicity;
 pub mod multiplicity_counting;
 pub mod multiset;
+pub mod probe;
 pub mod scm;
 pub mod traits;
 
@@ -54,14 +55,32 @@ pub use membership_counting::CShbfM;
 pub use multiplicity::{MultiplicityAnswer, ShbfX};
 pub use multiplicity_counting::{CShbfX, UpdatePolicy};
 pub use multiset::CShbfMs;
+pub use probe::{PairProbe, ProbeScratch};
 pub use scm::ScmSketch;
 pub use traits::{CountEstimator, MembershipFilter};
 
-/// Chunk size of the two-stage batch pipelines (`contains_batch` & co.):
-/// stage 1 hashes a chunk of keys and prefetches their target words, stage 2
-/// probes. 32 keys × `k/2` pairs keeps the staged index block comfortably in
-/// L1 while giving the prefetcher a few hundred cycles of lead time.
+/// Chunk size of the staged batch pipelines (`contains_batch` & co.):
+/// the keys of one chunk are hashed and their target words prefetched
+/// before any of them is probed. 32 keys × `k/2` pairs keeps the staged
+/// index block comfortably in L1 while giving the prefetcher a few
+/// hundred cycles of lead time. For the `shbf-m` family (see [`probe`])
+/// only the first pair is staged up front and the rest only for keys that
+/// pass it. Chunking never shortens a lock's hold: the sharded filter
+/// read-locks the shards a batch touches once, in ascending shard index,
+/// and holds them across all of the batch's chunks.
 pub const BATCH_CHUNK: usize = 32;
+
+/// Empties `v` and hands its allocation back as a vector of another
+/// element type of the same size and alignment — in practice the same
+/// borrowed type at another lifetime. A scratch struct that outlives the
+/// borrows keeps a `Vec<&'static T>`, lends it out as a `Vec<&'a T>` for
+/// one call (plain covariance), and takes it back through here. The
+/// collect reuses the allocation in place, so a round trip allocates
+/// nothing.
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| -> U { unreachable!() }).collect()
+}
 
 /// Serialization kind tags for the [`shbf_bits::codec`] format.
 pub mod kind {

@@ -16,6 +16,7 @@ use shbf_bits::{AccessStats, BitArray, Reader, Writer};
 use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::error::ShbfError;
+use crate::probe::{PairProbe, ProbeScratch};
 use crate::traits::MembershipFilter;
 use crate::BATCH_CHUNK;
 
@@ -212,10 +213,11 @@ impl ShbfM {
 
     /// Queries a batch, returning one verdict per element in order.
     ///
-    /// Pipelined in [`BATCH_CHUNK`]-sized chunks: stage 1 computes every
-    /// key's digest, positions, and offset and issues a cache prefetch per
-    /// target word; stage 2 probes. On filters larger than L2 this overlaps
-    /// the memory latency that a scalar query loop pays serially.
+    /// Runs the staged early-exit kernel [`crate::probe::contains_batch`]:
+    /// per [`BATCH_CHUNK`]-sized chunk it hashes and prefetches every
+    /// key's first pair, then only the keys whose first pair is set hash
+    /// and prefetch the rest. On filters larger than L2 this overlaps the
+    /// memory latency that a scalar query loop pays serially.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
         let mut out = Vec::with_capacity(items.len());
         self.contains_batch_into(items, &mut out);
@@ -224,38 +226,21 @@ impl ShbfM {
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer
     /// (cleared first), sparing the reply-buffer allocation per batch (the
-    /// pipeline's small fixed stage buffers are still allocated per call).
+    /// kernel's stage buffers are still allocated per call).
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(items.len());
-        let pairs = self.pairs();
-        let mut positions = vec![0usize; BATCH_CHUNK * pairs];
-        let mut offsets = [0usize; BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = self.offset_of(&key);
-                for (i, slot) in positions[j * pairs..(j + 1) * pairs].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
-            }
-            for (j, &o) in offsets.iter().enumerate().take(chunk.len()) {
-                out.push(
-                    positions[j * pairs..(j + 1) * pairs]
-                        .iter()
-                        .all(|&pos| self.bits.pair_all_set(pos, o)),
-                );
-            }
-        }
+        let probe = self.probe();
+        crate::probe::contains_batch(items, |_| probe, out, &mut ProbeScratch::default());
     }
 
-    /// The offset `o(e) ∈ [1, w̄ − 1]` (§3.1: `o(e) ≠ 0`, otherwise the two
-    /// bits of a pair would coincide).
+    /// The query view of this filter that the shared probe kernel reads.
+    #[inline]
+    pub(crate) fn probe(&self) -> PairProbe<'_> {
+        PairProbe::new(&self.bits, &self.family, self.m, self.pairs(), self.w_bar)
+    }
+
     #[inline]
     fn offset_of(&self, key: &PreparedKey<'_>) -> usize {
-        shbf_hash::range_reduce(key.index(self.pairs()), self.w_bar - 1) + 1
+        crate::probe::offset(key, self.pairs(), self.w_bar)
     }
 
     #[cfg(test)]
@@ -277,18 +262,11 @@ impl ShbfM {
 
     /// Membership query; short-circuits on the first zero pair (§3.2).
     /// The key is hashed at most once end to end under a one-shot family,
-    /// `k/2 + 1` times under a seeded family (the paper's accounting).
+    /// at most `k/2 + 1` times under a seeded family (the paper's
+    /// accounting).
     #[inline]
     pub fn contains(&self, item: &[u8]) -> bool {
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        for i in 0..self.pairs() {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            if !self.bits.pair_all_set(pos, o) {
-                return false;
-            }
-        }
-        true
+        self.probe().contains(item)
     }
 
     /// Membership query with **eager hashing**: all `k/2 + 1` hash values
@@ -328,21 +306,7 @@ impl ShbfM {
     /// (seeded: one per probed pair plus the offset hash; one-shot: a
     /// single digest for the whole query).
     pub fn contains_profiled(&self, item: &[u8], stats: &mut AccessStats) -> bool {
-        stats.record_hashes(self.family.probe_cost(0)); // offset hash first
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        let mut result = true;
-        for i in 0..self.pairs() {
-            stats.record_hashes(self.family.probe_cost(i + 1));
-            stats.record_reads(1);
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            if !self.bits.pair_all_set(pos, o) {
-                result = false;
-                break;
-            }
-        }
-        stats.finish_op();
-        result
+        self.probe().contains_profiled(item, stats)
     }
 
     /// Serializes the filter (parameters + bit array, CRC-protected).

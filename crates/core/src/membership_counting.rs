@@ -18,6 +18,7 @@ use shbf_bits::{AccessStats, BitArray, CounterArray};
 use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::error::ShbfError;
+use crate::probe::{PairProbe, ProbeScratch};
 use crate::traits::MembershipFilter;
 use crate::BATCH_CHUNK;
 
@@ -171,7 +172,13 @@ impl CShbfM {
 
     #[inline]
     fn offset_of(&self, key: &PreparedKey<'_>) -> usize {
-        shbf_hash::range_reduce(key.index(self.pairs()), self.w_bar - 1) + 1
+        crate::probe::offset(key, self.pairs(), self.w_bar)
+    }
+
+    /// The query view of the bit mirror that the shared probe kernel reads.
+    #[inline]
+    pub fn probe(&self) -> PairProbe<'_> {
+        PairProbe::new(&self.bits, &self.family, self.m, self.pairs(), self.w_bar)
     }
 
     /// Inserts an element: increments both counters of every pair and sets
@@ -265,19 +272,11 @@ impl CShbfM {
     /// identical cost profile to [`crate::ShbfM`]).
     #[inline]
     pub fn contains(&self, item: &[u8]) -> bool {
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        for i in 0..self.pairs() {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            if !self.bits.pair_all_set(pos, o) {
-                return false;
-            }
-        }
-        true
+        self.probe().contains(item)
     }
 
     /// Queries a batch against the bit mirror, one verdict per element in
-    /// order, via the prefetched two-stage pipeline (see
+    /// order, via the staged early-exit kernel (see
     /// [`crate::ShbfM::contains_batch`]).
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
         let mut out = Vec::with_capacity(items.len());
@@ -287,63 +286,28 @@ impl CShbfM {
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer
     /// (cleared first), sparing the reply-buffer allocation per batch. The
-    /// pipeline's stage buffer is allocated per call; see
-    /// [`Self::contains_batch_with`] to reuse it.
+    /// kernel's stage buffers are allocated per call; see
+    /// [`Self::contains_batch_with`] to reuse them.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        self.contains_batch_with(items, out, &mut Vec::new());
+        self.contains_batch_with(items, out, &mut ProbeScratch::default());
     }
 
-    /// [`Self::contains_batch_into`] with a caller-owned stage buffer for
-    /// the probe positions (resized as needed), so a caller that keeps
-    /// both buffers allocates nothing per batch in steady state.
+    /// [`Self::contains_batch_into`] with caller-owned stage buffers, so a
+    /// caller that keeps both allocates nothing per batch in steady state.
     pub fn contains_batch_with<T: AsRef<[u8]>>(
         &self,
         items: &[T],
         out: &mut Vec<bool>,
-        positions: &mut Vec<usize>,
+        scratch: &mut ProbeScratch,
     ) {
-        out.clear();
-        out.reserve(items.len());
-        let pairs = self.pairs();
-        positions.resize(BATCH_CHUNK * pairs, 0);
-        let mut offsets = [0usize; BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = self.offset_of(&key);
-                for (i, slot) in positions[j * pairs..(j + 1) * pairs].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
-            }
-            for (j, &o) in offsets.iter().enumerate().take(chunk.len()) {
-                out.push(
-                    positions[j * pairs..(j + 1) * pairs]
-                        .iter()
-                        .all(|&pos| self.bits.pair_all_set(pos, o)),
-                );
-            }
-        }
+        let probe = self.probe();
+        crate::probe::contains_batch(items, |_| probe, out, scratch);
     }
 
-    /// [`Self::contains`] with accounting.
+    /// [`Self::contains`] with accounting (see
+    /// [`crate::ShbfM::contains_profiled`]).
     pub fn contains_profiled(&self, item: &[u8], stats: &mut AccessStats) -> bool {
-        stats.record_hashes(self.family.probe_cost(0));
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        let mut result = true;
-        for i in 0..self.pairs() {
-            stats.record_hashes(self.family.probe_cost(i + 1));
-            stats.record_reads(1);
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            if !self.bits.pair_all_set(pos, o) {
-                result = false;
-                break;
-            }
-        }
-        stats.finish_op();
-        result
+        self.probe().contains_profiled(item, stats)
     }
 
     /// Number of set bits in the on-chip mirror.

@@ -200,7 +200,7 @@ impl Client {
     /// for the whole batch), then reads one framed reply per command, in
     /// order. Against the evented transport this is what makes the
     /// server-side batch path engage — the adjacent `QUERY` lines arrive
-    /// in one readable event and ride the shard-grouped pipeline.
+    /// in one readable event and ride the sharded batch pipeline.
     pub fn send_pipelined<S: AsRef<str>>(
         &mut self,
         commands: &[S],

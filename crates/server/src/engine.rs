@@ -1145,9 +1145,9 @@ fn query(n: &Namespace, key: &[u8]) -> Response {
 }
 
 fn mquery<K: AsRef<[u8]>>(n: &Namespace, keys: &[K], scratch: &mut QueryScratch) -> Response {
-    // All three backends run their prefetched two-stage batch pipeline into
-    // the recycled verdict buffer; one lock acquisition per touched shard
-    // (membership) or per batch (multiplicity/association).
+    // Every backend runs its prefetched batch pipeline into the recycled
+    // verdict buffer, taking one read lock per touched shard (membership)
+    // or per batch (the others) for the whole batch.
     let mut answers = std::mem::take(&mut scratch.verdicts);
     match &n.backend {
         Backend::Membership(f) => f.contains_batch_with(keys, &mut answers, &mut scratch.shard),

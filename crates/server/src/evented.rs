@@ -9,7 +9,7 @@
 //! connection's write queue, flushed with `writev` — no coalescing copy.
 //! On top of that, runs of adjacent `QUERY` lines against the same
 //! namespace are grouped into a single [`Engine`] batch ride over the
-//! existing [`QueryScratch`] path — the same shard-grouped, prefetched
+//! existing [`QueryScratch`] path — the same sharded, prefetched
 //! pipeline `MQUERY` uses — so `MQUERY`-sized batches form naturally
 //! from pipelined clients without anyone hand-building an `MQUERY`.
 //! Line framing itself is [`scan_line`], shared with the proptest suite

@@ -104,7 +104,7 @@
 //! the portable blocking thread-per-connection model, and (on Linux) an
 //! edge-triggered epoll reactor ([`TransportKind::Evented`], built on
 //! `shbf-reactor`) that drains all pipelined lines per readable event,
-//! batches adjacent `QUERY`s through the shard-grouped prefetched
+//! batches adjacent `QUERY`s through the sharded prefetched
 //! pipeline, and flushes replies with vectored writes — so the `MQUERY`
 //! fast path engages automatically under pipelined load. Both transports
 //! listen on TCP ([`Server::bind`]) or a UNIX-domain socket

@@ -12,7 +12,7 @@
 //! * [`TransportKind::Evented`]: the `shbf-reactor` epoll loop (see
 //!   [`crate::evented`]): edge-triggered readiness, all buffered lines
 //!   drained per readable event, adjacent `QUERY`s batched through the
-//!   shard-grouped pipeline, replies flushed with vectored writes, and
+//!   sharded batch pipeline, replies flushed with vectored writes, and
 //!   write-queue backpressure past [`ServerConfig::write_high_water`].
 //!   Linux-only — elsewhere it falls back to the threaded transport
 //!   (epoll is the only evented backend).

@@ -9,8 +9,8 @@
 //!   `QUERY` and for a 64-key `MQUERY` of plain keys;
 //! * the owned [`parse_command`] of `QUERY ns key`: exactly the namespace
 //!   `String` and the key `Vec`;
-//! * the shard-grouped batch probe and the engine's `MQUERY` dispatch
-//!   with per-connection scratch: nothing.
+//! * the sharded batch probe (3, 64 and 513 keys over 8 shards) and the
+//!   engine's `MQUERY` dispatch with per-connection scratch: nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -125,6 +125,18 @@ fn batch_probe_and_mquery_dispatch_allocate_nothing_when_warm() {
     let n = allocs_of(|| filter.contains_batch_with(&keys, &mut verdicts, &mut scratch));
     assert_eq!(n, 0, "warm batch probe allocated");
     assert!(verdicts[..32].iter().all(|&hit| hit));
+
+    // The smallest coalesced run the server sees and a batch of many
+    // chunks: the shard ids, the read guards and the kernel's stage
+    // buffer are all recycled.
+    for len in [3, 513] {
+        let keys: Vec<Vec<u8>> = (0..len)
+            .map(|i| format!("key-{i:04}").into_bytes())
+            .collect();
+        let n = allocs_of(|| filter.contains_batch_with(&keys, &mut verdicts, &mut scratch));
+        assert_eq!(n, 0, "warm {len}-key batch probe allocated");
+        assert!(verdicts[..3].iter().all(|&hit| hit));
+    }
 
     let engine = Engine::new();
     engine.eval_line("CREATE flows shbf-m 65536 8");
