@@ -36,6 +36,7 @@ impl Bf {
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        shbf_core::check_k(k)?;
         Ok(Bf {
             bits: BitArray::new(m),
             m,
@@ -152,12 +153,12 @@ impl Bf {
         let items = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut f = Self::with_alg(m, k, alg, seed)?;
         if bits.len() != m {
             return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
                 "bit array size",
             )));
         }
+        let mut f = Self::with_alg(m, k, alg, seed)?;
         f.bits = bits;
         f.items = items;
         Ok(f)

@@ -38,6 +38,7 @@ impl Cbf {
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        shbf_core::check_k(k)?;
         Ok(Cbf {
             counters: CounterArray::new(m, counter_bits),
             m,

@@ -44,6 +44,7 @@ impl CmSketch {
         if d == 0 || r == 0 {
             return Err(ShbfError::ZeroSize("d/r"));
         }
+        shbf_core::check_k(d)?;
         Ok(CmSketch {
             counters: CounterArray::new(d * r, counter_bits),
             d,
@@ -141,7 +142,7 @@ impl CmSketch {
         let items = r.u64()?;
         let counters = r.counter_array()?;
         r.expect_end()?;
-        if counters.len() != d * cols {
+        if d.checked_mul(cols) != Some(counters.len()) {
             return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
                 "counter array size",
             )));

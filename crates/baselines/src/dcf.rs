@@ -52,6 +52,7 @@ impl Dcf {
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        shbf_core::check_k(k)?;
         Ok(Dcf {
             base: CounterArray::new(m, base_bits),
             overflow: CounterArray::new(m, 2),

@@ -41,6 +41,7 @@ impl OneMemBf {
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        shbf_core::check_k(k)?;
         let n_words = m.div_ceil(64);
         Ok(OneMemBf {
             words: vec![0; n_words],

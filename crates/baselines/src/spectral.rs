@@ -71,6 +71,7 @@ impl SpectralBf {
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        shbf_core::check_k(k)?;
         Ok(SpectralBf {
             counters: CounterArray::new(m, counter_bits),
             m,

@@ -1,5 +1,7 @@
 //! The m-bit array `B` with byte-aligned window reads.
 
+use crate::alloc::AllocError;
+
 /// A fixed-length bit array backed by `u64` words.
 ///
 /// Bit `i` lives in word `i / 64` at in-word position `i % 64` (LSB-first),
@@ -7,10 +9,26 @@
 /// one-memory-access argument relies on: any 64 consecutive bits starting at a
 /// byte boundary are one load, and any window of `≤ 57` bits starting at an
 /// arbitrary *bit* is contained in such a load.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct BitArray {
     words: Box<[u64]>,
     len_bits: usize,
+}
+
+impl Clone for BitArray {
+    /// Copies into storage from [`crate::alloc::zeroed_words`], so a clone
+    /// is huge-page-advised like the original.
+    ///
+    /// # Panics
+    /// Panics if the copy cannot be allocated.
+    fn clone(&self) -> Self {
+        let mut words = crate::alloc::zeroed_words(self.words.len()).expect("clone BitArray");
+        words.copy_from_slice(&self.words);
+        BitArray {
+            words,
+            len_bits: self.len_bits,
+        }
+    }
 }
 
 impl std::fmt::Debug for BitArray {
@@ -24,12 +42,21 @@ impl std::fmt::Debug for BitArray {
 
 impl BitArray {
     /// Creates a zeroed array of `len_bits` bits.
+    ///
+    /// # Panics
+    /// Panics if the array cannot be allocated; [`Self::try_new`] reports
+    /// that as an error instead.
     pub fn new(len_bits: usize) -> Self {
-        let words = len_bits.div_ceil(64);
-        BitArray {
-            words: vec![0u64; words].into_boxed_slice(),
+        Self::try_new(len_bits).expect("allocate BitArray")
+    }
+
+    /// Creates a zeroed array of `len_bits` bits, or reports why its
+    /// storage cannot be allocated (see [`crate::alloc`]).
+    pub fn try_new(len_bits: usize) -> Result<Self, AllocError> {
+        Ok(BitArray {
+            words: crate::alloc::zeroed_words(len_bits.div_ceil(64))?,
             len_bits,
-        }
+        })
     }
 
     /// Length in bits.
@@ -389,6 +416,24 @@ mod tests {
         b.set(129);
         let rebuilt = BitArray::from_words(b.as_words().to_vec(), 130);
         assert_eq!(rebuilt, b);
+    }
+
+    #[test]
+    fn try_new_reports_impossible_sizes() {
+        assert!(BitArray::try_new(usize::MAX).is_err());
+        let b = BitArray::try_new(0).unwrap();
+        assert!(b.is_empty() && b.as_words().is_empty());
+    }
+
+    #[test]
+    fn clone_is_equal_and_independent() {
+        let mut b = BitArray::new(300);
+        b.set(7);
+        b.set(299);
+        let mut c = b.clone();
+        assert_eq!(c, b);
+        c.set(8);
+        assert!(!b.get(8));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use crate::alloc::AllocError;
 use crate::bitarray::BitArray;
 use crate::counters::CounterArray;
 use crate::crc::crc32;
@@ -50,6 +51,8 @@ pub enum CodecError {
     UnexpectedEof,
     /// A decoded field had an invalid value.
     InvalidField(&'static str),
+    /// A decoded array's storage could not be allocated.
+    Alloc(AllocError),
 }
 
 impl std::fmt::Display for CodecError {
@@ -69,6 +72,7 @@ impl std::fmt::Display for CodecError {
             ),
             CodecError::UnexpectedEof => write!(f, "unexpected end of blob"),
             CodecError::InvalidField(name) => write!(f, "invalid field: {name}"),
+            CodecError::Alloc(e) => write!(f, "{e}"),
         }
     }
 }
@@ -222,27 +226,39 @@ impl<'a> Reader<'a> {
         Ok(self.body.get_u64_le())
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let len = self.u64()? as usize;
+    /// Bytes of the body not yet read — the most any declared length
+    /// that follows can honestly cover.
+    pub fn remaining(&self) -> usize {
+        self.body.len()
+    }
+
+    /// Reads a length-prefixed byte string, borrowed from the blob.
+    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.u64()?;
+        let len = usize::try_from(len).map_err(|_| CodecError::UnexpectedEof)?;
         self.need(len)?;
-        let out = self.body[..len].to_vec();
-        self.body.advance(len);
+        let (out, rest) = self.body.split_at(len);
+        self.body = rest;
         Ok(out)
     }
 
-    /// Reads a length-prefixed `u64` slice.
+    /// Reads a length-prefixed `u64` slice into storage from
+    /// [`crate::alloc::zeroed_words`]. The declared length is checked
+    /// against the bytes left in the blob before anything is allocated.
     pub fn words(&mut self) -> Result<Vec<u64>, CodecError> {
-        let len = self.u64()? as usize;
-        self.need(
-            len.checked_mul(8)
-                .ok_or(CodecError::InvalidField("words len"))?,
-        )?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.body.get_u64_le());
+        let len = self.u64()?;
+        let bytes = usize::try_from(len)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .ok_or(CodecError::InvalidField("words len"))?;
+        self.need(bytes)?;
+        let mut out = crate::alloc::zeroed_words(bytes / 8).map_err(CodecError::Alloc)?;
+        let (src, rest) = self.body.split_at(bytes);
+        for (word, le) in out.iter_mut().zip(src.chunks_exact(8)) {
+            *word = u64::from_le_bytes(le.try_into().expect("chunks_exact yields 8 bytes"));
         }
-        Ok(out)
+        self.body = rest;
+        Ok(out.into_vec())
     }
 
     /// Reads a [`BitArray`].
@@ -270,7 +286,10 @@ impl<'a> Reader<'a> {
             return Err(CodecError::InvalidField("counter width"));
         }
         let words = self.words()?;
-        if words.len() != (len * width as usize).div_ceil(64) {
+        let total_bits = len
+            .checked_mul(width as usize)
+            .ok_or(CodecError::InvalidField("counter array len"))?;
+        if words.len() != total_bits.div_ceil(64) {
             return Err(CodecError::InvalidField("counter array word count"));
         }
         Ok(CounterArray::from_words(words, len, width))

@@ -5,13 +5,16 @@
 //! evaluation (§6.4.1). Counters are packed so that `⌊(w−7)/z⌋`-slot windows
 //! remain single-access (the CShBF_M update bound in §3.3).
 
+use crate::alloc::AllocError;
+use crate::bitarray::BitArray;
+
 /// A fixed-length array of `z`-bit saturating counters packed into `u64`s.
 ///
 /// Counter widths from 1 to 32 bits are supported. Increments saturate at
 /// `2^z − 1` (the classic CBF overflow policy: the counter sticks at max and
 /// can no longer be decremented reliably; [`CounterArray::saturations`]
 /// reports how often that happened so callers can size `z` properly).
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct CounterArray {
     words: Box<[u64]>,
     len: usize,
@@ -30,28 +33,49 @@ impl std::fmt::Debug for CounterArray {
     }
 }
 
+impl Clone for CounterArray {
+    /// Copies into storage from [`crate::alloc::zeroed_words`], so a clone
+    /// is huge-page-advised like the original.
+    ///
+    /// # Panics
+    /// Panics if the copy cannot be allocated.
+    fn clone(&self) -> Self {
+        let mut words = crate::alloc::zeroed_words(self.words.len()).expect("clone CounterArray");
+        words.copy_from_slice(&self.words);
+        CounterArray { words, ..*self }
+    }
+}
+
 impl CounterArray {
     /// Creates `len` zeroed counters of `width` bits each.
     ///
     /// # Panics
-    /// Panics if `width` is 0 or greater than 32.
+    /// Panics if `width` is 0 or greater than 32, or if the array cannot
+    /// be allocated; [`Self::try_new`] reports the latter as an error.
     pub fn new(len: usize, width: u32) -> Self {
+        Self::try_new(len, width).expect("allocate CounterArray")
+    }
+
+    /// Creates `len` zeroed counters of `width` bits each, or reports why
+    /// their storage cannot be allocated (see [`crate::alloc`]).
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or greater than 32.
+    pub fn try_new(len: usize, width: u32) -> Result<Self, AllocError> {
         assert!(
             (1..=32).contains(&width),
             "counter width {width} not in 1..=32"
         );
-        let total_bits = len * width as usize;
-        CounterArray {
-            words: vec![0u64; total_bits.div_ceil(64)].into_boxed_slice(),
+        let total_bits = len
+            .checked_mul(width as usize)
+            .ok_or(AllocError::OVERFLOW)?;
+        Ok(CounterArray {
+            words: crate::alloc::zeroed_words(total_bits.div_ceil(64))?,
             len,
             width,
-            max: if width == 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            },
+            max: (1u64 << width) - 1,
             saturations: 0,
-        }
+        })
     }
 
     /// Number of counters.
@@ -185,6 +209,32 @@ impl CounterArray {
         (0..self.len).filter(|&i| self.get(i) != 0).count()
     }
 
+    /// The bit mirror of the counters: `len()` bits, bit `i` set iff
+    /// counter `i` is nonzero. This is the query-side array every counting
+    /// filter rebuilds after decoding its counters.
+    pub fn nonzero_bits(&self) -> Result<BitArray, AllocError> {
+        let mut bits = BitArray::try_new(self.len)?;
+        let width = self.width as usize;
+        let mut i = 0;
+        while i < self.len {
+            let word = i * width / 64;
+            if self.words[word] == 0 {
+                // Every counter wholly inside this zero word is 0. Jump to
+                // the one holding the word's last bit: it may spill into
+                // the next word, so it is read in full below.
+                i = (word * 64 + 63) / width;
+                if i >= self.len {
+                    break;
+                }
+            }
+            if self.get(i) != 0 {
+                bits.set(i);
+            }
+            i += 1;
+        }
+        Ok(bits)
+    }
+
     /// Resets all counters to zero and clears the saturation tally.
     pub fn reset(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -300,6 +350,48 @@ mod tests {
         let r = CounterArray::from_words(c.as_words().to_vec(), 21, 6);
         assert_eq!(r.get(20), 33);
         assert_eq!(r.get(0), 1);
+    }
+
+    #[test]
+    fn nonzero_bits_mirrors_every_width() {
+        for width in [1u32, 3, 4, 6, 7, 8, 13, 32] {
+            let len = 700;
+            let mut c = CounterArray::new(len, width);
+            // Sparse, clustered and word-straddling nonzero counters.
+            for i in (0..len).filter(|i| i % 97 == 0 || (300..310).contains(i) || i % 64 == 63) {
+                c.set(i, 1 + (i as u64 % c.max_value()));
+            }
+            let bits = c.nonzero_bits().unwrap();
+            assert_eq!(bits.len(), len);
+            for i in 0..len {
+                assert_eq!(bits.get(i), c.get(i) != 0, "width {width} counter {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn nonzero_bits_finds_each_lone_counter() {
+        // One nonzero counter at a time, at every index, holding only its
+        // top bit: a counter that straddles two words then has its first
+        // word zero, and must still be found.
+        for width in [1u32, 3, 4, 6, 7, 13, 32] {
+            for i in 0..150 {
+                let mut c = CounterArray::new(150, width);
+                c.set(i, 1 << (width - 1));
+                let bits = c.nonzero_bits().unwrap();
+                assert_eq!(bits.count_ones(), 1, "width {width} counter {i}");
+                assert!(bits.get(i), "width {width} counter {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn try_new_reports_overflow() {
+        assert_eq!(
+            CounterArray::try_new(usize::MAX / 2, 4),
+            Err(AllocError::OVERFLOW)
+        );
+        assert!(CounterArray::try_new(usize::MAX / 64, 32).is_err());
     }
 
     #[test]

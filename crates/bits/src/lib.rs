@@ -12,15 +12,20 @@
 //! * [`AccessStats`] + [`access`] — the paper's memory-access accounting
 //!   (Figs. 8, 10(b), 11(b));
 //! * [`codec`] — a versioned, CRC-checked binary format so filters can be
-//!   persisted and shipped (what SRAM/DRAM synchronization would serialize).
+//!   persisted and shipped (what SRAM/DRAM synchronization would serialize);
+//! * [`alloc`] — the one allocator behind both arrays' words: zeroed,
+//!   fallible, and advised onto transparent huge pages.
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// `prefetch` module's `_mm_prefetch` hint, allowed locally with a SAFETY
-// comment. Everything else in the crate stays safe code.
+// `deny` rather than `forbid`: the two sanctioned exceptions are the
+// `prefetch` module's `_mm_prefetch` hint and the `alloc` module's
+// zeroed allocation and `madvise` call. Both allow `unsafe` locally, with
+// a SAFETY comment on each block. Everything else in the crate stays
+// safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;
+pub mod alloc;
 pub mod atomic;
 pub mod bitarray;
 pub mod codec;
@@ -29,6 +34,7 @@ pub mod crc;
 pub mod prefetch;
 
 pub use access::{AccessStats, MemoryModel, WORD_BITS};
+pub use alloc::AllocError;
 pub use atomic::AtomicBitArray;
 pub use bitarray::BitArray;
 pub use codec::{CodecError, Reader, Writer};

@@ -270,13 +270,19 @@ impl ShardedCShbfM {
     pub fn from_bytes(blob: &[u8]) -> Result<Self, ShbfError> {
         let mut r = shbf_bits::Reader::new(blob, SHARDED_CSHBF_M_KIND)?;
         let shard_seed = r.u64()?;
-        let count = r.u64()? as usize;
+        let count = r.u64()?;
         if count == 0 {
             return Err(ShbfError::ZeroSize("shards"));
         }
-        let mut shards = Vec::with_capacity(count);
+        // Every shard takes at least its 8-byte length prefix, so a count
+        // the remaining bytes cannot hold is refused before it sizes the
+        // vector.
+        if count > (r.remaining() / 8) as u64 {
+            return Err(shbf_bits::CodecError::InvalidField("shard count").into());
+        }
+        let mut shards = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            shards.push(RwLock::new(CShbfM::from_bytes(&r.bytes()?)?));
+            shards.push(RwLock::new(CShbfM::from_bytes(r.bytes()?)?));
         }
         r.expect_end()?;
         Ok(ShardedCShbfM { shards, shard_seed })

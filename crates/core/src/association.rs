@@ -185,6 +185,7 @@ impl ShbfA {
         if cfg.k == 0 {
             return Err(ShbfError::KZero);
         }
+        crate::geometry::check_k(cfg.k)?;
         let max = MemoryModel::default().max_window();
         if !(3..=max).contains(&cfg.w_bar) {
             return Err(ShbfError::WBarOutOfRange {
@@ -215,7 +216,7 @@ impl ShbfA {
         let half = (cfg.w_bar - 1) / 2;
         let mut filter = ShbfA {
             // Max position = (m − 1) + 2·half; +1 for size.
-            bits: BitArray::new(m + 2 * half),
+            bits: BitArray::try_new(crate::geometry::physical(m, 2 * half)?)?,
             m,
             k: cfg.k,
             w_bar: cfg.w_bar,
@@ -474,16 +475,17 @@ impl ShbfA {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
+        if k == 0 {
+            return Err(ShbfError::KZero);
+        }
+        crate::geometry::check_k(k)?;
         let max = MemoryModel::default().max_window();
         if !(3..=max).contains(&w_bar) {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
         let half = (w_bar - 1) / 2;
-        if bits.len() != m + 2 * half {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
+        let physical = crate::geometry::physical(m, 2 * half)?;
+        crate::geometry::expect_size(bits.len(), physical, "bit array size")?;
         Ok(ShbfA {
             bits,
             m,

@@ -90,30 +90,58 @@ impl CShbfA {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let physical = Self::physical_slots(m, k, w_bar, counter_bits)?;
+        let counters = CounterArray::try_new(physical, counter_bits)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(counters, bits, m, k, w_bar, family, seed))
+    }
+
+    /// Validates the parameters and returns the physical array length
+    /// `m + 2·⌊(w̄ − 1)/2⌋` shared by the counters and the bit mirror.
+    fn physical_slots(
+        m: usize,
+        k: usize,
+        w_bar: usize,
+        counter_bits: u32,
+    ) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        crate::geometry::check_k(k)?;
+        crate::geometry::check_counter_bits(counter_bits)?;
         let max = MemoryModel::default().max_window();
         if !(3..=max).contains(&w_bar) {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
-        let half = (w_bar - 1) / 2;
-        let physical = m + 2 * half;
-        Ok(CShbfA {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
+        crate::geometry::physical(m, 2 * ((w_bar - 1) / 2))
+    }
+
+    /// Assembles a filter with empty T1/T2 around validated arrays of the
+    /// same length.
+    fn from_parts(
+        counters: CounterArray,
+        bits: BitArray,
+        m: usize,
+        k: usize,
+        w_bar: usize,
+        family: FamilyKind,
+        seed: u64,
+    ) -> Self {
+        CShbfA {
+            counters,
+            bits,
             t1: FnvHashSet::default(),
             t2: FnvHashSet::default(),
             m,
             k,
             w_bar,
-            half,
+            half: (w_bar - 1) / 2,
             family: QueryFamily::new(family, seed, k + 2),
             master_seed: seed,
-        })
+        }
     }
 
     /// Number of elements currently in S1.
@@ -373,26 +401,24 @@ impl CShbfA {
         ))?;
         let seed = r.u64()?;
         let counters = r.counter_array()?;
-        let mut f = Self::with_family(m, k, w_bar, counter_bits, family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
-        }
-        for table in [&mut f.t1, &mut f.t2] {
-            let len = r.u64()? as usize;
+        let physical = Self::physical_slots(m, k, w_bar, counter_bits)?;
+        crate::geometry::expect_size(counters.len(), physical, "counter array size")?;
+        crate::geometry::expect_size(counters.width(), counter_bits, "counter width")?;
+        let mut tables = [FnvHashSet::default(), FnvHashSet::default()];
+        for table in &mut tables {
+            let len = r.u64()?;
             for _ in 0..len {
-                table.insert(r.bytes()?);
+                table.insert(r.bytes()?.to_vec());
             }
         }
         r.expect_end()?;
-        f.counters = counters;
-        for i in 0..f.counters.len() {
-            if f.counters.get(i) != 0 {
-                f.bits.set(i);
-            }
-        }
-        Ok(f)
+        let bits = counters.nonzero_bits()?;
+        let [t1, t2] = tables;
+        Ok(CShbfA {
+            t1,
+            t2,
+            ..Self::from_parts(counters, bits, m, k, w_bar, family, seed)
+        })
     }
 }
 

@@ -1,6 +1,6 @@
 //! Error type shared by all ShBF structures.
 
-use shbf_bits::CodecError;
+use shbf_bits::{AllocError, CodecError};
 
 /// Errors from constructing, updating, or deserializing ShBF structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +19,18 @@ pub enum ShbfError {
     },
     /// A size parameter (`m`, rows, columns, `c`) must be positive.
     ZeroSize(&'static str),
+    /// `k` (or a sketch's depth `d`) exceeds [`crate::MAX_K`]: every
+    /// position costs a hash seed and a probe per operation.
+    KTooLarge {
+        /// requested number of positions
+        k: usize,
+        /// the bound
+        max: usize,
+    },
+    /// Counter widths `z` lie in `[1, 32]`.
+    CounterBitsOutOfRange(u32),
+    /// The filter's arrays cannot be allocated at the requested size.
+    Alloc(AllocError),
     /// `w̄` must lie in `[2, w − 7]` so that a probe window is one access
     /// (§3.1).
     WBarOutOfRange {
@@ -57,6 +69,11 @@ impl std::fmt::Display for ShbfError {
                 )
             }
             ShbfError::ZeroSize(what) => write!(f, "{what} must be positive"),
+            ShbfError::KTooLarge { k, max } => write!(f, "k {k} exceeds the maximum {max}"),
+            ShbfError::CounterBitsOutOfRange(z) => {
+                write!(f, "counter width {z} outside [1, 32]")
+            }
+            ShbfError::Alloc(e) => write!(f, "{e}"),
             ShbfError::WBarOutOfRange { w_bar, max } => {
                 write!(f, "w-bar {w_bar} outside [2, {max}] (= word bits - 7)")
             }
@@ -74,8 +91,15 @@ impl std::error::Error for ShbfError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShbfError::Codec(e) => Some(e),
+            ShbfError::Alloc(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<AllocError> for ShbfError {
+    fn from(e: AllocError) -> Self {
+        ShbfError::Alloc(e)
     }
 }
 

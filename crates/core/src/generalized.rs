@@ -70,39 +70,65 @@ impl GenShbfM {
         alg: HashAlg,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let physical = Self::physical_bits(m, k, t, w_bar)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(bits, m, k, t, w_bar, alg, seed, 0))
+    }
+
+    /// Validates the parameters and returns the physical array length
+    /// `m + w̄ − 1`.
+    fn physical_bits(m: usize, k: usize, t: usize, w_bar: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        crate::geometry::check_k(k)?;
         if t == 0 {
             return Err(ShbfError::ZeroSize("t"));
         }
-        if !k.is_multiple_of(t + 1) {
-            return Err(ShbfError::KNotDivisible { k, group: t + 1 });
+        // `t < k` first, so `t + 1` cannot overflow.
+        if t >= k || !k.is_multiple_of(t + 1) {
+            return Err(ShbfError::KNotDivisible {
+                k,
+                group: t.saturating_add(1),
+            });
         }
         let max = MemoryModel::default().max_window();
         if !(2..=max).contains(&w_bar) {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
-        let segment = (w_bar - 1) / t;
-        if segment == 0 {
+        if (w_bar - 1) / t == 0 {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
-        let groups = k / (t + 1);
-        Ok(GenShbfM {
-            bits: BitArray::new(m + w_bar - 1),
+        crate::geometry::physical(m, w_bar - 1)
+    }
+
+    /// Assembles a filter around a validated bit array.
+    #[allow(clippy::too_many_arguments)]
+    fn from_parts(
+        bits: BitArray,
+        m: usize,
+        k: usize,
+        t: usize,
+        w_bar: usize,
+        alg: HashAlg,
+        seed: u64,
+        items: u64,
+    ) -> Self {
+        GenShbfM {
+            bits,
             m,
             k,
             t,
             w_bar,
-            segment,
-            family: SeededFamily::new(alg, seed, groups + t),
+            segment: (w_bar - 1) / t,
+            family: SeededFamily::new(alg, seed, k / (t + 1) + t),
             alg,
             master_seed: seed,
-            items: 0,
-        })
+            items,
+        }
     }
 
     /// Number of hash groups (`k/(t+1)`).
@@ -239,15 +265,9 @@ impl GenShbfM {
         let items = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut f = Self::with_config(m, k, t, w_bar, alg, seed)?;
-        if bits.len() != f.bits.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        f.bits = bits;
-        f.items = items;
-        Ok(f)
+        let physical = Self::physical_bits(m, k, t, w_bar)?;
+        crate::geometry::expect_size(bits.len(), physical, "bit array size")?;
+        Ok(Self::from_parts(bits, m, k, t, w_bar, alg, seed, items))
     }
 }
 

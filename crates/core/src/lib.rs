@@ -37,6 +37,7 @@ pub mod association_counting;
 pub mod diagnostics;
 pub mod error;
 pub mod generalized;
+mod geometry;
 pub mod membership;
 pub mod membership_counting;
 pub mod multiplicity;
@@ -50,6 +51,7 @@ pub use association::{AssociationAnswer, ShbfA, ShbfABuilder};
 pub use association_counting::{CShbfA, SetId};
 pub use error::ShbfError;
 pub use generalized::GenShbfM;
+pub use geometry::{check_k, MAX_K};
 pub use membership::ShbfM;
 pub use membership_counting::CShbfM;
 pub use multiplicity::{MultiplicityAnswer, ShbfX};

@@ -75,6 +75,22 @@ impl ShbfM {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let physical = Self::physical_bits(m, k, w_bar)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(
+            m,
+            k,
+            w_bar,
+            seed,
+            QueryFamily::new(family, seed, k / 2 + 1),
+            bits,
+            0,
+        ))
+    }
+
+    /// Validates `(m, k, w̄)` and returns the physical array length
+    /// `m + w̄ − 1` (tail padding so `h % m + o` never wraps).
+    pub(crate) fn physical_bits(m: usize, k: usize, w_bar: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
@@ -84,24 +100,17 @@ impl ShbfM {
         if !k.is_multiple_of(2) {
             return Err(ShbfError::KMustBeEven(k));
         }
+        crate::geometry::check_k(k)?;
         let max = MemoryModel::default().max_window();
         if !(2..=max).contains(&w_bar) {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
-        let pairs = k / 2;
-        Ok(ShbfM {
-            bits: BitArray::new(m + w_bar - 1),
-            m,
-            k,
-            w_bar,
-            family: QueryFamily::new(family, seed, pairs + 1),
-            master_seed: seed,
-            items: 0,
-        })
+        crate::geometry::physical(m, w_bar - 1)
     }
 
-    /// Assembles a filter from pre-built parts (used by [`crate::CShbfM`]'s
-    /// SRAM-snapshot export; parameters are assumed validated).
+    /// Assembles a filter from pre-built parts (the constructors, the
+    /// decoder, and [`crate::CShbfM`]'s SRAM-snapshot export; parameters
+    /// are assumed validated).
     pub(crate) fn from_parts(
         m: usize,
         k: usize,
@@ -335,15 +344,17 @@ impl ShbfM {
         let items = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut filter = Self::with_family(m, k, w_bar, family, seed)?;
-        if bits.len() != filter.bits.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        filter.bits = bits;
-        filter.items = items;
-        Ok(filter)
+        let physical = Self::physical_bits(m, k, w_bar)?;
+        crate::geometry::expect_size(bits.len(), physical, "bit array size")?;
+        Ok(Self::from_parts(
+            m,
+            k,
+            w_bar,
+            seed,
+            QueryFamily::new(family, seed, k / 2 + 1),
+            bits,
+            items,
+        ))
     }
 }
 

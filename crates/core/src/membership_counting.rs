@@ -102,32 +102,49 @@ impl CShbfM {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
-        if !k.is_multiple_of(2) {
-            return Err(ShbfError::KMustBeEven(k));
-        }
-        let max = MemoryModel::default().max_window();
-        if !(2..=max).contains(&w_bar) {
-            return Err(ShbfError::WBarOutOfRange { w_bar, max });
-        }
-        let pairs = k / 2;
-        let physical = m + w_bar - 1;
-        Ok(CShbfM {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
+        let physical = Self::physical_slots(m, k, w_bar, counter_bits)?;
+        let counters = CounterArray::try_new(physical, counter_bits)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(
+            counters, bits, m, k, w_bar, family, seed, 0,
+        ))
+    }
+
+    /// Validates the parameters and returns the physical array length
+    /// `m + w̄ − 1` shared by the counters and the bit mirror.
+    fn physical_slots(
+        m: usize,
+        k: usize,
+        w_bar: usize,
+        counter_bits: u32,
+    ) -> Result<usize, ShbfError> {
+        crate::geometry::check_counter_bits(counter_bits)?;
+        crate::ShbfM::physical_bits(m, k, w_bar)
+    }
+
+    /// Assembles a filter around validated arrays of the same length.
+    #[allow(clippy::too_many_arguments)]
+    fn from_parts(
+        counters: CounterArray,
+        bits: BitArray,
+        m: usize,
+        k: usize,
+        w_bar: usize,
+        family: FamilyKind,
+        seed: u64,
+        items: u64,
+    ) -> Self {
+        CShbfM {
+            counter_bits: counters.width(),
+            counters,
+            bits,
             m,
             k,
             w_bar,
-            counter_bits,
-            family: QueryFamily::new(family, seed, pairs + 1),
+            family: QueryFamily::new(family, seed, k / 2 + 1),
             master_seed: seed,
-            items: 0,
-        })
+            items,
+        }
     }
 
     /// Logical size `m`.
@@ -369,16 +386,13 @@ impl CShbfM {
         let items = r.u64()?;
         let counters = r.counter_array()?;
         r.expect_end()?;
-        let mut f = Self::with_family(m, k, w_bar, counter_bits, family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
-        }
-        f.counters = counters;
-        f.items = items;
-        f.resync();
-        Ok(f)
+        let physical = Self::physical_slots(m, k, w_bar, counter_bits)?;
+        crate::geometry::expect_size(counters.len(), physical, "counter array size")?;
+        crate::geometry::expect_size(counters.width(), counter_bits, "counter width")?;
+        let bits = counters.nonzero_bits()?;
+        Ok(Self::from_parts(
+            counters, bits, m, k, w_bar, family, seed, items,
+        ))
     }
 
     /// Exports the SRAM-side array as a standalone blob compatible with

@@ -125,24 +125,46 @@ impl ShbfX {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let physical = Self::physical_bits(m, k, c)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(bits, m, k, c, family, seed, 0))
+    }
+
+    /// Validates the parameters and returns the physical array length
+    /// `m + c − 1`.
+    fn physical_bits(m: usize, k: usize, c: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        crate::geometry::check_k(k)?;
         if c == 0 {
             return Err(ShbfError::ZeroSize("c"));
         }
-        Ok(ShbfX {
-            bits: BitArray::new(m + c - 1),
+        crate::geometry::physical(m, c - 1)
+    }
+
+    /// Assembles a filter around a validated bit array.
+    fn from_parts(
+        bits: BitArray,
+        m: usize,
+        k: usize,
+        c: usize,
+        family: FamilyKind,
+        seed: u64,
+        n_distinct: u64,
+    ) -> Self {
+        ShbfX {
+            bits,
             m,
             k,
             c,
             family: QueryFamily::new(family, seed, k),
             master_seed: seed,
-            n_distinct: 0,
-        })
+            n_distinct,
+        }
     }
 
     fn encode(&mut self, item: &[u8], count: u64) -> Result<(), ShbfError> {
@@ -382,15 +404,9 @@ impl ShbfX {
         let n_distinct = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut f = Self::empty(m, k, c, family, seed)?;
-        if bits.len() != f.bits.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        f.bits = bits;
-        f.n_distinct = n_distinct;
-        Ok(f)
+        let physical = Self::physical_bits(m, k, c)?;
+        crate::geometry::expect_size(bits.len(), physical, "bit array size")?;
+        Ok(Self::from_parts(bits, m, k, c, family, seed, n_distinct))
     }
 }
 

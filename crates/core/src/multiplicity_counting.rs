@@ -90,19 +90,47 @@ impl CShbfX {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let physical = Self::physical_slots(m, k, c)?;
+        crate::geometry::check_counter_bits(counter_bits)?;
+        let counters = CounterArray::try_new(physical, counter_bits)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(
+            counters, bits, policy, m, k, c, family, seed,
+        ))
+    }
+
+    /// Validates the parameters and returns the physical array length
+    /// `m + c − 1` shared by the counters and the bit mirror.
+    fn physical_slots(m: usize, k: usize, c: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        crate::geometry::check_k(k)?;
         if c == 0 {
             return Err(ShbfError::ZeroSize("c"));
         }
-        let physical = m + c - 1;
-        Ok(CShbfX {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
+        crate::geometry::physical(m, c - 1)
+    }
+
+    /// Assembles a filter with an empty count table around validated
+    /// arrays of the same length.
+    #[allow(clippy::too_many_arguments)]
+    fn from_parts(
+        counters: CounterArray,
+        bits: BitArray,
+        policy: UpdatePolicy,
+        m: usize,
+        k: usize,
+        c: usize,
+        family: FamilyKind,
+        seed: u64,
+    ) -> Self {
+        CShbfX {
+            counters,
+            bits,
             table: FnvHashMap::default(),
             policy,
             m,
@@ -110,7 +138,7 @@ impl CShbfX {
             c,
             family: QueryFamily::new(family, seed, k),
             master_seed: seed,
-        })
+        }
     }
 
     /// The update policy in force.
@@ -384,10 +412,12 @@ impl CShbfX {
         ))?;
         let seed = r.u64()?;
         let counters = r.counter_array()?;
-        let entries = r.u64()? as usize;
+        let physical = Self::physical_slots(m, k, c)?;
+        crate::geometry::expect_size(counters.len(), physical, "counter array size")?;
+        let entries = r.u64()?;
         let mut table = FnvHashMap::default();
         for _ in 0..entries {
-            let key = r.bytes()?;
+            let key = r.bytes()?.to_vec();
             let count = r.u64()?;
             if count == 0 || count > c as u64 {
                 return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
@@ -397,21 +427,11 @@ impl CShbfX {
             table.insert(key, count);
         }
         r.expect_end()?;
-        let mut f = Self::with_family(m, k, c, policy, counters.width(), family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
-        }
-        f.counters = counters;
-        f.table = table;
-        // Rebuild the on-chip mirror from the counters.
-        for i in 0..f.counters.len() {
-            if f.counters.get(i) != 0 {
-                f.bits.set(i);
-            }
-        }
-        Ok(f)
+        let bits = counters.nonzero_bits()?;
+        Ok(CShbfX {
+            table,
+            ..Self::from_parts(counters, bits, policy, m, k, c, family, seed)
+        })
     }
 }
 

@@ -64,20 +64,49 @@ impl CShbfMs {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let physical = Self::physical_slots(m, k, sets, counter_bits)?;
+        let counters = CounterArray::try_new(physical, counter_bits)?;
+        let bits = BitArray::try_new(physical)?;
+        Ok(Self::from_parts(counters, bits, m, k, sets, family, seed))
+    }
+
+    /// Validates the parameters and returns the physical array length
+    /// `m + N − 1` shared by the counters and the bit mirror.
+    fn physical_slots(
+        m: usize,
+        k: usize,
+        sets: usize,
+        counter_bits: u32,
+    ) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
         if k == 0 {
             return Err(ShbfError::KZero);
         }
+        crate::geometry::check_k(k)?;
+        crate::geometry::check_counter_bits(counter_bits)?;
         let max = MemoryModel::default().max_window();
         if !(2..=max).contains(&sets) {
             return Err(ShbfError::WBarOutOfRange { w_bar: sets, max });
         }
-        let physical = m + sets - 1;
-        Ok(CShbfMs {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
+        crate::geometry::physical(m, sets - 1)
+    }
+
+    /// Assembles a filter with an empty mask table around validated
+    /// arrays of the same length.
+    fn from_parts(
+        counters: CounterArray,
+        bits: BitArray,
+        m: usize,
+        k: usize,
+        sets: usize,
+        family: FamilyKind,
+        seed: u64,
+    ) -> Self {
+        CShbfMs {
+            counters,
+            bits,
             table: FnvHashMap::default(),
             pairs: 0,
             m,
@@ -85,7 +114,7 @@ impl CShbfMs {
             sets,
             family: QueryFamily::new(family, seed, k),
             master_seed: seed,
-        })
+        }
     }
 
     /// Number of sets this filter distinguishes.
@@ -293,37 +322,35 @@ impl CShbfMs {
         ))?;
         let seed = r.u64()?;
         let counters = r.counter_array()?;
-        let mut f = Self::with_family(m, k, sets, counter_bits, family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
-        }
-        let len = r.u64()? as usize;
+        let physical = Self::physical_slots(m, k, sets, counter_bits)?;
+        crate::geometry::expect_size(counters.len(), physical, "counter array size")?;
+        crate::geometry::expect_size(counters.width(), counter_bits, "counter width")?;
+        let len = r.u64()?;
         let valid = if sets == 64 {
             u64::MAX
         } else {
             (1u64 << sets) - 1
         };
+        let mut table = FnvHashMap::default();
+        let mut pairs = 0;
         for _ in 0..len {
-            let key = r.bytes()?;
+            let key = r.bytes()?.to_vec();
             let mask = r.u64()?;
             if mask == 0 || mask & !valid != 0 {
                 return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
                     "set mask",
                 )));
             }
-            f.pairs += u64::from(mask.count_ones());
-            f.table.insert(key, mask);
+            pairs += u64::from(mask.count_ones());
+            table.insert(key, mask);
         }
         r.expect_end()?;
-        f.counters = counters;
-        for i in 0..f.counters.len() {
-            if f.counters.get(i) != 0 {
-                f.bits.set(i);
-            }
-        }
-        Ok(f)
+        let bits = counters.nonzero_bits()?;
+        Ok(CShbfMs {
+            table,
+            pairs,
+            ..Self::from_parts(counters, bits, m, k, sets, family, seed)
+        })
     }
 }
 

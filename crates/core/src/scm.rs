@@ -63,12 +63,22 @@ impl ScmSketch {
         alg: HashAlg,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let (slots, w_slots) = Self::geometry(d, r, counter_bits)?;
+        let counters = CounterArray::try_new(slots, counter_bits)?;
+        Ok(Self::from_parts(counters, d, r, w_slots, alg, seed, 0))
+    }
+
+    /// Validates the parameters and returns the counter count
+    /// `(d/2)·(2r + w̄ − 1)` and the slot-offset bound `w̄`.
+    fn geometry(d: usize, r: usize, counter_bits: u32) -> Result<(usize, usize), ShbfError> {
         if d == 0 || r == 0 {
             return Err(ShbfError::ZeroSize("d/r"));
         }
         if !d.is_multiple_of(2) {
             return Err(ShbfError::KMustBeEven(d));
         }
+        crate::geometry::check_k(d)?;
+        crate::geometry::check_counter_bits(counter_bits)?;
         let w_slots = MemoryModel::default().max_window() / counter_bits as usize;
         if w_slots < 2 {
             return Err(ShbfError::WBarOutOfRange {
@@ -76,20 +86,35 @@ impl ScmSketch {
                 max: MemoryModel::default().max_window(),
             });
         }
-        let rows = d / 2;
-        let cols = 2 * r;
-        let padded = cols + w_slots - 1;
-        Ok(ScmSketch {
-            counters: CounterArray::new(rows * padded, counter_bits),
-            rows,
-            cols,
+        let padded = r
+            .checked_mul(2)
+            .and_then(|cols| cols.checked_add(w_slots - 1));
+        let slots = padded.and_then(|padded| padded.checked_mul(d / 2));
+        let slots = slots.ok_or(ShbfError::Alloc(shbf_bits::AllocError::OVERFLOW))?;
+        Ok((slots, w_slots))
+    }
+
+    /// Assembles a sketch around a validated counter array.
+    fn from_parts(
+        counters: CounterArray,
+        d: usize,
+        r: usize,
+        w_slots: usize,
+        alg: HashAlg,
+        seed: u64,
+        items: u64,
+    ) -> Self {
+        ScmSketch {
+            counter_bits: counters.width(),
+            counters,
+            rows: d / 2,
+            cols: 2 * r,
             w_slots,
-            counter_bits,
-            family: SeededFamily::new(alg, seed, rows + 1),
+            family: SeededFamily::new(alg, seed, d / 2 + 1),
             alg,
             master_seed: seed,
-            items: 0,
-        })
+            items,
+        }
     }
 
     /// Number of shifted rows (`d/2`).
@@ -191,15 +216,12 @@ impl ScmSketch {
         let items = r.u64()?;
         let counters = r.counter_array()?;
         r.expect_end()?;
-        let mut s = Self::with_config(d, cm_r, counter_bits, alg, seed)?;
-        if counters.len() != s.counters.len() || counters.width() != s.counters.width() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array shape",
-            )));
-        }
-        s.counters = counters;
-        s.items = items;
-        Ok(s)
+        let (slots, w_slots) = Self::geometry(d, cm_r, counter_bits)?;
+        crate::geometry::expect_size(counters.len(), slots, "counter array size")?;
+        crate::geometry::expect_size(counters.width(), counter_bits, "counter width")?;
+        Ok(Self::from_parts(
+            counters, d, cm_r, w_slots, alg, seed, items,
+        ))
     }
 }
 

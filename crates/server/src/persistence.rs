@@ -211,7 +211,7 @@ impl Durability {
                 let seq_in_file = r.u64().ok()?;
                 let registry_blob = r.bytes().ok()?;
                 r.expect_end().ok()?;
-                snapshot::load_bytes(registry, &registry_blob).ok()?;
+                snapshot::load_bytes(registry, registry_blob).ok()?;
                 Some(seq_in_file)
             });
             if let Some(seq) = parsed {

@@ -155,12 +155,18 @@ pub fn load(registry: &Registry, path: &Path) -> Result<usize, SnapshotError> {
 /// [`load`].
 pub fn load_bytes(registry: &Registry, blob: &[u8]) -> Result<usize, SnapshotError> {
     let mut r = Reader::new(blob, SNAPSHOT_KIND)?;
-    let count = r.u64()? as usize;
-    let mut loaded = Vec::with_capacity(count);
+    let count = r.u64()?;
+    // A namespace entry takes at least 8 + 1 + 8 + 32 + 8 bytes (name
+    // length, tag, blob length, stats, summary length); refuse a count
+    // the rest of the blob cannot hold before it sizes the vector.
+    if count > (r.remaining() / 57) as u64 {
+        return Err(CodecError::InvalidField("namespace count").into());
+    }
+    let mut loaded = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let name_bytes = r.bytes()?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| CodecError::InvalidField("namespace name utf-8"))?;
+        let name = std::str::from_utf8(r.bytes()?)
+            .map_err(|_| CodecError::InvalidField("namespace name utf-8"))?
+            .to_string();
         // `install` bypasses `Registry::create`, so enforce the same
         // name rules here — reserved subjects and unframeable charsets
         // alike, with the same error bytes a refused `CREATE` produces.
@@ -168,21 +174,21 @@ pub fn load_bytes(registry: &Registry, blob: &[u8]) -> Result<usize, SnapshotErr
         let tag = r.u8()?;
         let payload = r.bytes()?;
         let backend = match tag {
-            TAG_MEMBERSHIP => Backend::Membership(ShardedCShbfM::from_bytes(&payload)?),
+            TAG_MEMBERSHIP => Backend::Membership(ShardedCShbfM::from_bytes(payload)?),
             TAG_MULTIPLICITY => {
-                Backend::Multiplicity(parking_lot::RwLock::new(CShbfX::from_bytes(&payload)?))
+                Backend::Multiplicity(parking_lot::RwLock::new(CShbfX::from_bytes(payload)?))
             }
             TAG_ASSOCIATION => {
-                Backend::Association(parking_lot::RwLock::new(CShbfA::from_bytes(&payload)?))
+                Backend::Association(parking_lot::RwLock::new(CShbfA::from_bytes(payload)?))
             }
             TAG_MULTISET => {
-                Backend::MultiSet(parking_lot::RwLock::new(CShbfMs::from_bytes(&payload)?))
+                Backend::MultiSet(parking_lot::RwLock::new(CShbfMs::from_bytes(payload)?))
             }
             _ => return Err(CodecError::InvalidField("backend tag").into()),
         };
         let stats = NamespaceStats::default();
         stats.restore(r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-        let summary = Summary::from_bytes(&r.bytes()?)?;
+        let summary = Summary::from_bytes(r.bytes()?)?;
         loaded.push(Namespace {
             name,
             backend,

@@ -161,12 +161,9 @@ impl Summary {
         if counters.len() != SUMMARY_BITS || counters.width() != SUMMARY_COUNTER_BITS {
             return Err(shbf_bits::CodecError::InvalidField("summary geometry"));
         }
-        let mut bits = BitArray::new(SUMMARY_BITS);
-        for i in 0..SUMMARY_BITS {
-            if counters.get(i) != 0 {
-                bits.set(i);
-            }
-        }
+        let bits = counters
+            .nonzero_bits()
+            .map_err(shbf_bits::CodecError::Alloc)?;
         Ok(Summary {
             inner: Mutex::new(SummaryInner { counters, bits }),
         })

@@ -304,3 +304,45 @@ fn protocol_errors_do_not_kill_the_connection() {
 
     handle.shutdown().unwrap();
 }
+
+/// A CREATE whose arrays no host could back, or whose `k` would cost a
+/// hash seed per position, is refused with `-ERR` before anything is
+/// allocated. The server keeps serving on both transports.
+#[test]
+fn unallocatable_create_is_refused_and_the_server_keeps_serving() {
+    for transport in [TransportKind::Threaded, TransportKind::Evented] {
+        let (handle, addr) = start_server_with(transport);
+        let mut c = Client::connect(addr).unwrap();
+        for hostile in [
+            "CREATE big shbf-m 1000000000000000 8",
+            "CREATE big shbf-m 18446744073709551615 8 1",
+            "CREATE big shbf-x 1000 8 18446744073709551615",
+            "CREATE big shbf-a 1000000000000000 8",
+            "CREATE big multiset 1000000000000000 8 8",
+            "CREATE big shbf-m 100000 1000000000000000",
+        ] {
+            let reply = c.send_expect_one(hostile).unwrap();
+            assert!(
+                reply.starts_with("-ERR"),
+                "{transport:?}: `{hostile}` replied `{reply}`"
+            );
+            assert_eq!(c.send_expect_one("PING").unwrap(), "+PONG");
+        }
+        let reply = c
+            .send_expect_one("CREATE big shbf-m 1000000000000000 8")
+            .unwrap();
+        assert!(reply.contains("cannot allocate"), "{reply}");
+        // No half-built namespace was left behind, and normal service
+        // continues on a fresh connection.
+        let mut c2 = Client::connect(addr).unwrap();
+        assert!(c2
+            .send_expect_one("QUERY big key")
+            .unwrap()
+            .starts_with("-ERR"));
+        expect_ok(&mut c2, "CREATE big shbf-m 100000 8");
+        expect_ok(&mut c2, "INSERT big key");
+        assert_eq!(c2.send_expect_one("QUERY big key").unwrap(), ":1");
+        assert_eq!(c2.send_expect_one("QUERY big nope").unwrap(), ":0");
+        handle.shutdown().unwrap();
+    }
+}
