@@ -18,11 +18,11 @@ where
 {
     let total = AtomicU64::new(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(secs);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let total = &total;
             let op = &op;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut local = 0u64;
                 let mut ix = t * 7919;
                 while std::time::Instant::now() < deadline {
@@ -35,8 +35,7 @@ where
                 total.fetch_add(local, Ordering::Relaxed);
             });
         }
-    })
-    .unwrap();
+    });
     total.load(Ordering::Relaxed) as f64 / secs / 1e6
 }
 

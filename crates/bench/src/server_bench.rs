@@ -8,13 +8,13 @@
 //! 1. **Pure pipelined queries** (the PR-4 headline): N client threads,
 //!    each keeping `depth` pipelined `QUERY` commands in flight against
 //!    one bulk-loaded `shbf-m` namespace, threaded vs. evented transport
-//!    over loopback TCP. Isolates per-reply `write`+`flush` syscalls and
-//!    per-connection threads (threaded) vs. vectored batch writes and a
-//!    few event loops (evented).
+//!    over loopback TCP. Both run the same protocol session (one write per
+//!    drained read), so this isolates per-connection blocking threads
+//!    (threaded) vs. vectored writes from a few event loops (evented).
 //! 2. **Mixed multi-namespace churn**: every round pipelines `MQUERY` +
 //!    `QUERY` runs against two static namespaces interleaved with
 //!    `INSERT`/`DELETE` churn on two more — ≥4 namespaces, verb switches
-//!    breaking the evented transport's query batching at realistic
+//!    breaking the session's query batching at realistic
 //!    points — measured on both transports × both socket families (TCP
 //!    and UNIX-domain). Churn keys are insert-before-delete per client,
 //!    so expected replies stay exact under interleaving.

@@ -225,17 +225,16 @@ mod tests {
     #[test]
     fn concurrent_bf_matches_lock_free_semantics() {
         let filter = Arc::new(ConcurrentBf::new(100_000, 6, 3).unwrap());
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let f = Arc::clone(&filter);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..3000u64 {
                         f.insert(&(t * 1_000_000 + i).to_le_bytes());
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for t in 0..4u64 {
             for i in 0..3000u64 {
                 assert!(filter.contains(&(t * 1_000_000 + i).to_le_bytes()));

@@ -442,25 +442,24 @@ mod tests {
     fn concurrent_mixed_workload() {
         let f = Arc::new(ShardedCShbfM::new(400_000, 8, 16, 11).unwrap());
         // Phase 1: concurrent inserts of disjoint ranges.
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let f = Arc::clone(&f);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in (t * 8000)..((t + 1) * 8000) {
                         f.insert(&key(i));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(f.items(), 32_000);
 
         // Phase 2: two threads delete their ranges while two others verify
         // untouched ranges continuously.
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..2u64 {
                 let f = Arc::clone(&f);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in (t * 8000)..((t + 1) * 8000) {
                         f.delete(&key(i)).unwrap();
                     }
@@ -468,14 +467,13 @@ mod tests {
             }
             for t in 2..4u64 {
                 let f = Arc::clone(&f);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in (t * 8000)..((t + 1) * 8000) {
                         assert!(f.contains(&key(i)), "untouched key {i} lost mid-churn");
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(f.items(), 16_000);
         for i in 16_000..32_000 {
             assert!(f.contains(&key(i)));

@@ -198,9 +198,9 @@ impl Client {
 
     /// Pipelines a batch: writes **all** commands (one `write` + `flush`
     /// for the whole batch), then reads one framed reply per command, in
-    /// order. Against the evented transport this is what makes the
-    /// server-side batch path engage — the adjacent `QUERY` lines arrive
-    /// in one readable event and ride the sharded batch pipeline.
+    /// order. This is what makes the server-side batch path engage — the
+    /// adjacent `QUERY` lines arrive in one read and ride the sharded
+    /// batch pipeline.
     pub fn send_pipelined<S: AsRef<str>>(
         &mut self,
         commands: &[S],

@@ -986,7 +986,7 @@ impl Engine {
     }
 
     /// Batched membership query over borrowed keys, without a [`Command`]
-    /// envelope — the evented transport's entry for `MQUERY` lines and
+    /// envelope — the protocol session's entry for `MQUERY` lines and
     /// for groups of adjacent pipelined `QUERY` lines. Returns exactly
     /// what `MQUERY ns keys...` would (including the error shape), so a
     /// group's verdicts can be re-encoded as the individual `QUERY`
@@ -1344,25 +1344,18 @@ fn stats(n: &Namespace) -> Response {
     let (ones, physical) = backend_bits(&n.backend);
     match &n.backend {
         Backend::Membership(f) => {
-            let (m, k, w_bar) = f.shard_params();
-            let shards = f.shards();
-            let items = f.items();
-            fields.push(("shards".into(), shards.to_string()));
+            let (m, k, _) = f.shard_params();
+            fields.push(("shards".into(), f.shards().to_string()));
             fields.push(("m_per_shard".into(), m.to_string()));
             fields.push(("k".into(), k.to_string()));
-            fields.push(("items".into(), items.to_string()));
+            fields.push(("items".into(), f.items().to_string()));
             fields.push((
                 "shard_imbalance".into(),
                 format!("{:.4}", f.shard_imbalance()),
             ));
-            // Theorem 1 FPR at the current per-shard load.
-            let est = shbf_analysis::shbf::fpr(
-                m as f64,
-                items as f64 / shards as f64,
-                k as f64,
-                w_bar as f64,
-            );
-            fields.push(("est_fpr".into(), format!("{est:.3e}")));
+            if let Some(est) = backend_est_fpr(&n.backend) {
+                fields.push(("est_fpr".into(), format!("{est:.3e}")));
+            }
         }
         Backend::Multiplicity(f) => {
             let guard = f.read();

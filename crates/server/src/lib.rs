@@ -103,10 +103,11 @@
 //! **byte-identical response streams** ([`ServerConfig::transport`]):
 //! the portable blocking thread-per-connection model, and (on Linux) an
 //! edge-triggered epoll reactor ([`TransportKind::Evented`], built on
-//! `shbf-reactor`) that drains all pipelined lines per readable event,
-//! batches adjacent `QUERY`s through the sharded prefetched
-//! pipeline, and flushes replies with vectored writes — so the `MQUERY`
-//! fast path engages automatically under pipelined load. Both transports
+//! `shbf-reactor`) that flushes replies with vectored writes. Both drive
+//! one protocol session per connection, which serves every pipelined
+//! line of a drained read in one pass and batches adjacent `QUERY`s
+//! through the sharded prefetched pipeline — so the `MQUERY` fast path
+//! engages automatically under pipelined load. Both transports
 //! listen on TCP ([`Server::bind`]) or a UNIX-domain socket
 //! ([`Server::bind_unix`]); reactor shutdown is eventfd-woken (no poll
 //! timeout), and connection-level counters (accepted/closed, bytes
@@ -129,7 +130,7 @@
 //! [`metrics`] and the `STATS server` command.
 //!
 //! On top of the aggregates, **request-scoped tracing** (`shbf-trace`)
-//! records full span trees — transport read/parse/dispatch/encode/write,
+//! records full span trees — transport parse/dispatch/encode,
 //! engine shard work, WAL append + fsync, snapshot writes, replica
 //! applies — for one in [`ServerConfig::trace_sample`] requests
 //! (admin/batch verbs are always traced while sampling is on; `0`
@@ -148,9 +149,10 @@
 //! ## Layers
 //!
 //! [`protocol`] (codec) → [`engine`] (dispatch) → [`registry`]
-//! (namespaces) → filter crates; [`server`] owns the listener and the
-//! threaded accept loop, [`evented`](TransportKind::Evented) the reactor
-//! handler, [`snapshot`] the persistence format, [`persistence`] the
+//! (namespaces) → filter crates; `session` is the per-connection
+//! protocol state machine both transports drive, [`server`] owns the
+//! listener, the threaded accept loop and its blocking driver,
+//! [`evented`](TransportKind::Evented) the reactor handler, [`snapshot`] the persistence format, [`persistence`] the
 //! WAL + recovery wiring, `replication` the replica applier, and
 //! [`client`] a minimal blocking client (with pipelining and `$`-framed
 //! bulk replies) used by the CLI, the replica applier, and tests.
@@ -181,6 +183,7 @@ pub mod protocol;
 pub mod registry;
 mod replication;
 pub mod server;
+mod session;
 pub mod snapshot;
 pub mod which;
 

@@ -346,7 +346,7 @@ pub enum Command {
 }
 
 /// One step of incremental line framing over buffered bytes — the shared
-/// scanner behind the evented transport's pipelined parsing.
+/// scanner behind the protocol session's pipelined parsing.
 ///
 /// Framing is a pure function of `(buffered bytes, eof)`, so any
 /// chunking of a request stream yields the same sequence of events as
@@ -375,8 +375,8 @@ pub enum Scan<'a> {
 /// Scans the front of `buf` for the next request line. `eof` means no
 /// more input will ever arrive, so an unterminated trailing line is
 /// served as-is (the way a blocking `read_line` loop would). The oversize
-/// check counts the newline byte for terminated lines, matching the
-/// threaded transport's `read_line` budget exactly.
+/// check counts the newline byte for terminated lines, so a line of
+/// `max_line` bytes including its `\n` is the longest accepted.
 pub fn scan_line(buf: &[u8], eof: bool, max_line: usize) -> Scan<'_> {
     match buf.iter().position(|&b| b == b'\n') {
         Some(i) if i + 1 > max_line => Scan::Oversize,
@@ -1370,8 +1370,8 @@ mod tests {
                 advance: 3
             }
         );
-        // Oversize counts the newline for terminated lines (read_line
-        // parity): 4 content bytes + newline > 4.
+        // Oversize counts the newline for terminated lines: 4 content
+        // bytes + newline > 4.
         assert_eq!(scan_line(b"abcd\n", false, 4), Scan::Oversize);
         assert_eq!(
             scan_line(b"abc\n", false, 4),

@@ -2,20 +2,22 @@
 //! transport selector, and the thread-per-connection worker model.
 //!
 //! Two transports serve the same engine behind the same wire protocol —
-//! selected by [`ServerConfig::transport`], with **byte-identical
-//! response streams** for any request stream:
+//! selected by [`ServerConfig::transport`]. Both drive one protocol
+//! session per connection ([`crate::session`]), which serves every
+//! complete line of each drained read in one pass: adjacent `QUERY`s
+//! batch through the sharded batch pipeline, and the replies leave in
+//! one write. So response streams are **byte-identical** for any request
+//! stream, and the transports differ only in how bytes move:
 //!
 //! * [`TransportKind::Threaded`] (default): one blocking handler thread
-//!   per connection, at most `max_connections` live, one request line per
-//!   `read_line`/`write`/`flush` cycle. Simple, portable, and fine when
-//!   clients wait for each reply.
+//!   per connection, at most `max_connections` live, looping blocking
+//!   `read` → session → one `write_all`. Simple and portable.
 //! * [`TransportKind::Evented`]: the `shbf-reactor` epoll loop (see
-//!   [`crate::evented`]): edge-triggered readiness, all buffered lines
-//!   drained per readable event, adjacent `QUERY`s batched through the
-//!   sharded batch pipeline, replies flushed with vectored writes, and
-//!   write-queue backpressure past [`ServerConfig::write_high_water`].
-//!   Linux-only — elsewhere it falls back to the threaded transport
-//!   (epoll is the only evented backend).
+//!   [`crate::evented`]): edge-triggered readiness, a handful of threads
+//!   for any number of connections, replies flushed with vectored
+//!   writes, and write-queue backpressure past
+//!   [`ServerConfig::write_high_water`]. Linux-only — elsewhere it falls
+//!   back to the threaded transport (epoll is the only evented backend).
 //!
 //! Both transports serve either socket family: [`Server::bind`] for TCP,
 //! [`Server::bind_unix`] for a UNIX-domain socket path (same-host
@@ -31,28 +33,29 @@
 //! loopback connection; in-flight connections finish their current
 //! command, flush, and close.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use shbf_reactor::{Listener, Stream, Waker};
+use shbf_reactor::{Action, Listener, Stream, Waker};
 use shbf_wal::FsyncPolicy;
 
-use crate::engine::{Control, Engine, QueryScratch};
-use crate::protocol::{parse_command, Response};
+use crate::engine::Engine;
+use crate::session::Session;
 
 /// Which connection-handling model a [`Server`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// Blocking thread-per-connection workers (portable default).
+    /// Blocking thread-per-connection workers (portable default): one
+    /// thread per live connection, one reply write per drained read.
     #[default]
     Threaded,
-    /// Edge-triggered epoll reactor loops with pipelined parsing and
-    /// vectored writes. Linux-only; other targets silently run
-    /// [`Self::Threaded`].
+    /// Edge-triggered epoll reactor loops serving many connections per
+    /// thread, replies flushed with vectored writes. Linux-only; other
+    /// targets silently run [`Self::Threaded`].
     Evented,
 }
 
@@ -569,45 +572,37 @@ pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
 /// ([`ServerConfig::shed_busy`]; both transports send the same bytes).
 pub(crate) const BUSY_REPLY: &[u8] = b"-ERR busy\r\n";
 
-fn reject_oversized(writer: &mut Stream, out: &mut Vec<u8>) -> std::io::Result<()> {
-    out.clear();
-    Response::Error(format!(
-        "protocol: request line exceeds {MAX_REQUEST_LINE} bytes"
-    ))
-    .encode(out);
-    let _ = writer.write_all(out);
-    Ok(())
-}
+/// Poll interval of a threaded connection's blocking reads: how soon it
+/// observes a server shutdown, and the granularity of idle reaping.
+const READ_POLL: std::time::Duration = std::time::Duration::from_millis(200);
 
+/// Most bytes a threaded connection takes off its socket per `read`.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// The threaded transport's blocking driver: read → [`Session::on_data`]
+/// → drop the consumed prefix → one `write_all` of the replies → act on
+/// the session's verdict. `input` keeps a partial line across read
+/// timeouts and stays bounded, because the session rejects a line past
+/// [`MAX_REQUEST_LINE`] once that many bytes are buffered.
 fn handle_connection(
-    stream: Stream,
-    engine: &Engine,
+    mut stream: Stream,
+    engine: &Arc<Engine>,
     shutdown: &AtomicBool,
     endpoint: &Endpoint,
     idle: Option<std::time::Duration>,
 ) -> std::io::Result<()> {
     let metrics = engine.transport_metrics();
     stream.set_nodelay(true).ok();
-    // Bounded reads so a connection parked in `read_line` observes a
-    // server shutdown within one poll interval instead of blocking the
-    // run loop's join forever.
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(200)))
-        .ok();
-    // The reader is layered over `Take` so one request line can never
-    // pull more than its budget off the socket: without the limit, a
-    // peer streaming newline-free bytes would keep `read_line`
-    // accumulating unboundedly (data keeps arriving, so neither the
-    // newline nor the timeout path is ever reached).
-    let mut reader = BufReader::new(stream.try_clone()?.take(0));
-    let mut writer = stream;
-    let mut line = String::new();
-    let mut out = Vec::with_capacity(256);
-    // Batch-query scratch: MQUERY verdicts and shard-grouping buffers are
-    // recycled across this connection's requests instead of reallocated.
-    let mut scratch = QueryScratch::new();
-    // Idle reaping rides the 200 ms read-timeout poll: each timeout
-    // checks how long the connection has been silent.
+    // Bounded reads so a connection parked in `read` observes a server
+    // shutdown within one poll interval instead of blocking the run
+    // loop's join forever.
+    stream.set_read_timeout(Some(READ_POLL)).ok();
+    let mut session = Session::new(Arc::clone(engine), "threaded");
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut input = Vec::new();
+    let mut out = Vec::new();
+    // Idle reaping rides the read-timeout poll: each timeout checks how
+    // long the connection has been silent.
     let mut last_activity = std::time::Instant::now();
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -618,103 +613,46 @@ fn handle_connection(
         if let Some(msg) = shbf_failpoint::fail("transport::read") {
             return Err(std::io::Error::other(msg));
         }
-        // `line` deliberately accumulates across timeouts: a read timeout
-        // mid-line must not discard the partial line already buffered.
-        // The remaining budget lets it grow just past the cap, so the
-        // oversize checks below fire; `line.len() <= MAX` here (larger
-        // was rejected last iteration), hence the budget is >= 2 and a
-        // `read_line` -> `Ok(0)` can only mean peer EOF, never an
-        // exhausted limit.
-        reader
-            .get_mut()
-            .set_limit((MAX_REQUEST_LINE + 2 - line.len()) as u64);
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // peer closed
+        let eof = match stream.read(&mut chunk) {
+            Ok(0) => true,
             Ok(n) => {
                 metrics.add_bytes_in(n as u64);
                 last_activity = std::time::Instant::now();
+                input.extend_from_slice(&chunk[..n]);
+                false
             }
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
                 ) =>
             {
-                if line.len() > MAX_REQUEST_LINE {
-                    return reject_oversized(&mut writer, &mut out);
-                }
-                if let Some(limit) = idle {
-                    if last_activity.elapsed() >= limit {
-                        metrics.on_idle_reap();
-                        return Ok(());
-                    }
+                if idle.is_some_and(|limit| last_activity.elapsed() >= limit) {
+                    metrics.on_idle_reap();
+                    return Ok(());
                 }
                 continue;
             }
-            // Non-UTF-8 bytes on a text protocol: tell the peer why
-            // before closing, instead of silently dropping the link.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                out.clear();
-                Response::Error("protocol: request is not valid UTF-8".into()).encode(&mut out);
-                let _ = writer.write_all(&out);
-                return Ok(());
-            }
             Err(e) => return Err(e),
-        }
-        if line.len() > MAX_REQUEST_LINE {
-            return reject_oversized(&mut writer, &mut out);
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            line.clear();
-            continue;
-        }
-        let mut trace = shbf_trace::start(engine.trace(), "request");
-        let parse_span = shbf_trace::span("parse");
-        let parsed = parse_command(trimmed);
-        drop(parse_span);
-        // Admin/batch verbs are always traced while sampling is on: they
-        // are rare and expensive, exactly the requests worth keeping.
-        if !trace.is_armed() {
-            if let Ok(cmd) = &parsed {
-                if !crate::metrics::CommandKind::of(cmd).sampled() {
-                    trace = shbf_trace::start_forced(engine.trace(), "request");
-                }
-            }
-        }
-        if trace.is_armed() {
-            trace.attr("transport", "threaded");
-        }
-        let (response, control) = match parsed {
-            Ok(cmd) => {
-                let span = shbf_trace::span("dispatch");
-                let r = engine.dispatch_with(&cmd, &mut scratch);
-                drop(span);
-                r
-            }
-            Err(e) => (Response::Error(e.to_string()), Control::Continue),
         };
-        line.clear();
-        out.clear();
-        let encode_span = shbf_trace::span("encode");
-        response.encode(&mut out);
-        drop(encode_span);
-        scratch.reclaim(response);
-        // Failpoint `transport::writev`: the reply write fails (shared
-        // site name with the evented flush path).
-        if let Some(msg) = shbf_failpoint::fail("transport::writev") {
-            return Err(std::io::Error::other(msg));
+        let drained = session.on_data(&input, eof, &mut out);
+        input.drain(..drained.consumed);
+        if !out.is_empty() {
+            // Failpoint `transport::writev`: the reply write fails (shared
+            // site name with the evented flush path).
+            if let Some(msg) = shbf_failpoint::fail("transport::writev") {
+                return Err(std::io::Error::other(msg));
+            }
+            stream.write_all(&out)?;
+            metrics.add_bytes_out(out.len() as u64);
+            out.clear();
         }
-        let write_span = shbf_trace::span("write");
-        writer.write_all(&out)?;
-        writer.flush()?;
-        drop(write_span);
-        drop(trace);
-        metrics.add_bytes_out(out.len() as u64);
-        match control {
-            Control::Continue => {}
-            Control::CloseConnection => return Ok(()),
-            Control::ShutdownServer => {
+        match drained.action {
+            Action::Continue if !eof => {}
+            Action::Continue | Action::Close => return Ok(()),
+            Action::Shutdown => {
                 shutdown.store(true, Ordering::SeqCst);
                 // Wake the acceptor so the whole server exits.
                 endpoint.poke();

@@ -112,8 +112,8 @@ COMMANDS
       server): --send fires one command and prints the reply; without
       it, a line REPL reads from stdin. --pipeline N writes up to N
       commands before reading their replies (stdin mode; with --send,
-      split commands on `;`) — against an --evented server this drives
-      the batched query path. --timeout-ms bounds both the TCP connect
+      split commands on `;`) — pipelined QUERYs ride the server's
+      batched query path on either transport. --timeout-ms bounds both the TCP connect
       and every reply read (0, the default, waits forever)."
     );
 }

@@ -254,7 +254,7 @@ fn validate_exposition(body: &str) {
 }
 
 /// The same pipelined stream gives the same command counts and timed
-/// sample counts on both transports: the evented transport answers
+/// sample counts on both transports: the protocol session answers
 /// adjacent QUERY lines as one batch, yet counts each of them as a
 /// `query`, never as an `mquery`.
 #[test]

@@ -1,6 +1,6 @@
 //! Property suite for the wire-protocol parser and line framer.
 //!
-//! Two invariants keep the evented transport honest under adversarial
+//! Three invariants keep the protocol session honest under adversarial
 //! TCP segmentation:
 //!
 //! 1. **Chunking-invariance**: feeding a request stream to
@@ -13,7 +13,7 @@
 //!    UTF-8 — malformed input must come back as a parse error, not a
 //!    crash that drops the connection.
 //! 3. **One grammar**: the borrowed front-end [`parse_request`], whose
-//!    keys the evented transport resolves in place, and the owned
+//!    keys the protocol session resolves in place, and the owned
 //!    [`parse_command`] agree on every line — the same command with the
 //!    same key bytes, or the same error text.
 
@@ -24,7 +24,7 @@ use shbf::server::{
     parse_command, parse_request, resolve_keys, scan_line, Command, Key, Request, Scan,
 };
 
-/// A parse event, as the evented transport would see it.
+/// A parse event, as the protocol session would see it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Event {
     Line(Vec<u8>),

@@ -3,9 +3,9 @@
 //! TCP gives no message boundaries: a pipelined request stream can arrive
 //! split at any byte, one byte at a time, or all at once. Both transports
 //! must produce **byte-identical response streams** for every
-//! segmentation — this is the acceptance gate for the evented transport's
-//! pipelined parsing (grouped queries, coalesced writes) being invisible
-//! on the wire.
+//! segmentation — this is the acceptance gate for the protocol session's
+//! pipelined parsing (grouped queries, one write per drained read) being
+//! invisible on the wire.
 //!
 //! Method: one fixed command script (mixed LF/CRLF, adjacent QUERY runs,
 //! namespace switches, MQUERY, errors, blank lines) is replayed against a
@@ -62,7 +62,7 @@ fn script() -> Vec<u8> {
     s.extend_from_slice(b"PING\r\n"); // CRLF
     s.extend_from_slice(b"INSERT flows seg-a\n"); // LF
     s.extend_from_slice(b"QUERY flows seg-a\r\n");
-    // An adjacent run of QUERYs (the evented transport batches these).
+    // An adjacent run of QUERYs (the protocol session batches these).
     s.extend_from_slice(b"QUERY flows seg-a\nQUERY flows miss-1\nQUERY flows miss-2\n");
     // Namespace switch mid-run, then a different-backend query.
     s.extend_from_slice(b"QUERY assoc file-1\n");

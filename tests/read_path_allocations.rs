@@ -5,7 +5,7 @@
 //! path may allocate once its reusable buffers are warm:
 //!
 //! * the borrowed front-end, [`parse_request`], and the in-place key
-//!   resolution the evented transport runs after it: nothing, for a
+//!   resolution the protocol session runs after it: nothing, for a
 //!   `QUERY` and for a 64-key `MQUERY` of plain keys;
 //! * the owned [`parse_command`] of `QUERY ns key`: exactly the namespace
 //!   `String` and the key `Vec`;
@@ -75,7 +75,7 @@ fn mquery_line(keys: usize) -> String {
 #[test]
 fn borrowed_parse_of_query_and_mquery_allocates_nothing() {
     // The key-slice buffer outlives each call only as an empty
-    // allocation, the way the evented transport keeps it.
+    // allocation, the way the protocol session keeps it.
     let mut hex = Vec::new();
     let mut kept: Vec<&'static [u8]> = Vec::new();
     let query = "QUERY flows key-0001";

@@ -135,7 +135,7 @@ fn evented_concurrent_pipelined_clients_no_false_negatives() {
     }
 
     // Four clients verify the whole key space with pipelined QUERYs (the
-    // evented transport groups these into shard-batched rides) plus
+    // protocol session groups these into shard-batched rides) plus
     // MQUERY batches, concurrently.
     let verifiers: Vec<_> = (0..4u64)
         .map(|c| {

@@ -405,7 +405,7 @@ fn trace_scrape_under_pipelined_load_is_valid_chrome_json() {
     batch.push("MQUERY flows key-1 key-2 nope-1".into());
     batch.push("STATS flows".into());
     for i in 0..100 {
-        // Adjacent pipelined QUERYs coalesce on the evented transport;
+        // Adjacent pipelined QUERYs coalesce on either transport;
         // trailing the pipeline, the group flushes at buffer drain and
         // is traced as one request with a `batch` attr.
         batch.push(format!("QUERY flows key-{i}"));

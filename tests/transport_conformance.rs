@@ -103,8 +103,8 @@ fn seed_state(endpoint: &Endpoint) {
     }
 }
 
-/// The main conformance script: pipelined query runs (the evented
-/// transport batches them), `MINSERT` bulk-load feeding the new writev
+/// The main conformance script: pipelined query runs (the protocol
+/// session batches them), `MINSERT` bulk-load feeding the new writev
 /// path, namespace switches, every backend, interleaved errors, blank
 /// lines. Ends in QUIT so `read_to_end` terminates deterministically.
 fn main_script() -> Vec<u8> {
@@ -128,7 +128,7 @@ fn main_script() -> Vec<u8> {
 
 /// QUERY runs whose keys are `0x…` tokens, mixed with plain keys, in
 /// both hex cases and in one run with an explicit `MQUERY` of the same
-/// keys (the evented transport decodes them into one reused buffer).
+/// keys (the protocol session decodes them into one reused buffer).
 fn hex_key_script() -> Vec<u8> {
     let mut s = Vec::new();
     s.extend_from_slice(b"MINSERT flows 0x0aff 0x00 h-1 0x7365672d62\n");
@@ -289,6 +289,28 @@ fn evented_writev_path_survives_every_split_point_on_tcp_and_unix() {
                 "{case:?}: divergence when split at byte {i}"
             );
         }
+        handle.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn partial_line_survives_a_pause_past_the_read_timeout() {
+    // The threaded driver polls its socket with a 200 ms read timeout. A
+    // request line whose halves straddle a few of those timeouts must be
+    // kept buffered across them: answered once, whole, in order.
+    for case in cases() {
+        let handle = start(case);
+        seed_state(handle.endpoint());
+        let got = drive(
+            handle.endpoint(),
+            &[b"QUERY flows se", b"g-a\r\nPING\r\n"],
+            Duration::from_millis(450),
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            ":1\r\n+PONG\r\n",
+            "{case:?}: split line lost or mangled across read timeouts"
+        );
         handle.shutdown().unwrap();
     }
 }
